@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <unordered_map>
+#include <span>
 
 #include "src/engine/top_k.hpp"
 
@@ -20,7 +19,66 @@ DocId synth_doc(QueryId q, std::size_t i, std::uint64_t num_docs) {
   return static_cast<DocId>(x % num_docs);
 }
 
+/// A frequency-sorted list read as it stands.
+class ListCursor {
+ public:
+  explicit ListCursor(std::span<const Posting> list) : list_(list) {}
+  [[nodiscard]] const Posting* peek() const {
+    return i_ < list_.size() ? &list_[i_] : nullptr;
+  }
+  void pop() { ++i_; }
+
+ private:
+  std::span<const Posting> list_;
+  std::size_t i_ = 0;
+};
+
+/// A dirty term's current list, produced lazily: the base list with
+/// tombstoned docs skipped, merged with the live run. Both inputs are
+/// in freq_sorted_before order and their doc ids are disjoint (live ids
+/// follow every base id), so the merge yields exactly the sequence a
+/// full re-sort of base-minus-tombstones plus live would.
+class MergeCursor {
+ public:
+  MergeCursor(std::span<const Posting> base, std::span<const Posting> live,
+              const LiveOverlay& overlay)
+      : base_(base), live_(live), overlay_(overlay) {
+    settle();
+  }
+  [[nodiscard]] const Posting* peek() const { return head_; }
+  void pop() {
+    ++(from_live_ ? l_ : b_);
+    settle();
+  }
+
+ private:
+  void settle() {
+    while (b_ < base_.size() && overlay_.is_deleted(base_[b_].doc)) ++b_;
+    const bool has_base = b_ < base_.size();
+    from_live_ = l_ < live_.size() &&
+                 (!has_base || freq_sorted_before(live_[l_], base_[b_]));
+    head_ = from_live_ ? &live_[l_] : has_base ? &base_[b_] : nullptr;
+  }
+
+  std::span<const Posting> base_;
+  std::span<const Posting> live_;
+  const LiveOverlay& overlay_;
+  std::size_t b_ = 0;
+  std::size_t l_ = 0;
+  bool from_live_ = false;
+  const Posting* head_ = nullptr;
+};
+
 }  // namespace
+
+void Scorer::Accumulator::begin(std::uint64_t num_docs) {
+  if (slots_.size() < num_docs) slots_.resize(num_docs);
+  touched_.clear();
+  if (++gen_ == 0) {  // generation wrapped: stale stamps could match
+    for (Slot& slot : slots_) slot.stamp = 0;
+    gen_ = 1;
+  }
+}
 
 ScoreOutcome Scorer::score(IndexView& index, const Query& query) const {
   if (auto* mat = dynamic_cast<MaterializedIndex*>(&index)) {
@@ -29,59 +87,75 @@ ScoreOutcome Scorer::score(IndexView& index, const Query& query) const {
   return score_analytic(index, query);
 }
 
+template <class Cursor>
+std::size_t Scorer::walk(Cursor& cursor, double idf) const {
+  const auto tf_floor = static_cast<std::uint32_t>(
+      std::ceil(cfg_.tf_cutoff * static_cast<double>(cursor.peek()->tf)));
+  const auto needed_candidates = static_cast<std::size_t>(
+      cfg_.candidate_multiple * static_cast<double>(cfg_.top_k));
+  // The list is tf-sorted, so a posting's weight only changes between
+  // tf runs. The tf == 0 sentinel is exact: log(1 + 0) * idf is 0.
+  std::uint32_t run_tf = 0;
+  float run_weight = 0.0f;
+  std::size_t i = 0;
+  for (const Posting* p = cursor.peek(); p != nullptr;
+       cursor.pop(), p = cursor.peek(), ++i) {
+    // Early termination: low-tf tail cannot displace the top-K once
+    // enough candidates are accumulated.
+    if (p->tf < tf_floor && acc_.size() >= needed_candidates) break;
+    if (p->tf != run_tf) {
+      run_tf = p->tf;
+      run_weight = static_cast<float>(std::log(1.0 + p->tf) * idf);
+    }
+    acc_.add(p->doc, run_weight);
+  }
+  return i;
+}
+
 ScoreOutcome Scorer::score_materialized(MaterializedIndex& index,
                                         const Query& query) const {
   ScoreOutcome out;
   out.result.query = query.id;
   out.terms.reserve(query.terms.size());
-  std::unordered_map<DocId, float> acc;
+  acc_.begin(index.num_docs());
 
-  // Live-index churn: dirty terms fold their overlay postings into a
-  // local frequency-sorted list, and every term's idf is recomputed
-  // against the current N (the stored TermMeta::idf predates the live
-  // doc slots). With a clean (or absent) overlay this block is inert
-  // and the function is bit-identical to the read-only build.
+  // Live-index churn: a dirty term is walked as a lazy merge of its base
+  // list and its live run, with df = base size + df_delta, and every
+  // term's idf is recomputed against the current N (the stored
+  // TermMeta::idf predates the live doc slots). With a clean (or absent)
+  // overlay this is inert and the function is bit-identical to the
+  // read-only build.
   const LiveOverlay* overlay = index.overlay();
   const bool churned = overlay != nullptr && !overlay->clean();
   const double n_docs =
       churned ? static_cast<double>(index.num_docs()) : 0.0;
-  std::vector<Posting> live;
 
   for (TermId t : query.terms) {
-    std::optional<PostingList> live_list;
-    if (churned && index.live_doc_sorted(t, live)) {
-      live_list.emplace(live);  // re-sorts (tf desc, doc asc)
-    }
-    const PostingList& list = live_list ? *live_list : *index.postings(t);
+    const PostingList& base = *index.postings(t);
+    const bool dirty = churned && overlay->term_dirty(t);
+    const auto df = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(base.size()) +
+        (dirty ? overlay->df_delta(t) : 0));
     TermScoreInfo info{t, 0, 1.0};
-    if (!list.empty()) {
-      // idf precomputed at index build (TermMeta::idf) — no per-query
-      // std::log for list weighting.
+    if (df > 0) {
+      // Without churn, the idf precomputed at index build
+      // (TermMeta::idf) — no per-query std::log for list weighting.
       const double idf =
-          churned
-              ? std::log(1.0 + n_docs / static_cast<double>(list.size()))
-              : index.term_meta_fast(t).idf;
-      const auto tf_top = list[0].tf;
-      const auto tf_floor = static_cast<std::uint32_t>(
-          std::ceil(cfg_.tf_cutoff * static_cast<double>(tf_top)));
-      const auto needed_candidates = static_cast<std::size_t>(
-          cfg_.candidate_multiple * static_cast<double>(cfg_.top_k));
-      std::size_t i = 0;
-      for (; i < list.size(); ++i) {
-        const Posting& p = list[i];
-        // Early termination: low-tf tail cannot displace the top-K once
-        // enough candidates are accumulated.
-        if (p.tf < tf_floor && acc.size() >= needed_candidates) break;
-        acc[p.doc] +=
-            static_cast<float>(std::log(1.0 + p.tf) * idf);
+          churned ? std::log(1.0 + n_docs / static_cast<double>(df))
+                  : index.term_meta_fast(t).idf;
+      if (dirty) {
+        live_.clear();
+        overlay->collect_live(t, live_);
+        std::sort(live_.begin(), live_.end(), freq_sorted_before);
+        MergeCursor cursor(base.postings(), live_, *overlay);
+        info.postings_processed = walk(cursor, idf);
+      } else {
+        ListCursor cursor(base.postings());
+        info.postings_processed = walk(cursor, idf);
       }
-      info.postings_processed = i;
-      info.utilization =
-          static_cast<double>(i) / static_cast<double>(list.size());
+      info.utilization = static_cast<double>(info.postings_processed) /
+                         static_cast<double>(df);
       index.record_utilization(t, info.utilization);
-    } else {
-      info.postings_processed = 0;
-      info.utilization = 1.0;
     }
     out.total_postings += info.postings_processed;
     out.terms.push_back(info);
@@ -89,10 +163,12 @@ ScoreOutcome Scorer::score_materialized(MaterializedIndex& index,
 
   // Extract the top-K through a bounded heap: O(n log k), no
   // intermediate full-size vector. The ranking order is total (ties
-  // break on doc id), so this selects exactly what partial_sort did.
+  // break on doc id), so the visit order of the touched docs is
+  // irrelevant.
   TopKAccumulator top_docs(cfg_.top_k);
-  // ssdse-lint: allow(unordered-iter) TopKAccumulator imposes a total order (ties break on doc id), so visit order is irrelevant
-  for (const auto& [doc, s] : acc) top_docs.push(ScoredDoc{doc, s});
+  for (const DocId d : acc_.touched()) {
+    top_docs.push(ScoredDoc{d, acc_.score(d)});
+  }
   out.result.docs = top_docs.take_sorted();
   out.cpu_time = cfg_.cpu_fixed +
                  cfg_.cpu_per_posting * static_cast<double>(out.total_postings);

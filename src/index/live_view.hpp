@@ -45,6 +45,12 @@ class LiveOverlay {
   /// Append term t's non-tombstoned live postings, doc-ascending, to
   /// `out`.
   virtual void collect_live(TermId t, std::vector<Posting>& out) const = 0;
+
+  /// Change in term t's effective df since the last merge: live postings
+  /// added minus postings tombstoned (base or live). The current df is
+  /// the base list's size plus this delta, with no list scan; 0 for a
+  /// clean term.
+  [[nodiscard]] virtual std::int64_t df_delta(TermId t) const = 0;
 };
 
 }  // namespace ssdse

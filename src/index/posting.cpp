@@ -9,11 +9,7 @@ PostingList::PostingList(std::vector<Posting> postings,
                          std::uint32_t skip_interval)
     : postings_(std::move(postings)),
       skip_interval_(skip_interval ? skip_interval : 1) {
-  std::sort(postings_.begin(), postings_.end(),
-            [](const Posting& a, const Posting& b) {
-              if (a.tf != b.tf) return a.tf > b.tf;
-              return a.doc < b.doc;
-            });
+  std::sort(postings_.begin(), postings_.end(), freq_sorted_before);
   for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
     skips_.push_back(i);
   }

@@ -22,6 +22,15 @@ struct Posting {
   friend bool operator==(const Posting&, const Posting&) = default;
 };
 
+/// The frequency-sorted list order: tf descending, ties by doc id
+/// ascending. Total over postings with distinct doc ids. A closure
+/// object rather than a function, so std::sort inlines it.
+inline constexpr auto freq_sorted_before = [](const Posting& a,
+                                              const Posting& b) {
+  if (a.tf != b.tf) return a.tf > b.tf;
+  return a.doc < b.doc;
+};
+
 /// On-disk size model: 8 bytes per posting (doc id + tf, lightly
 /// compressed) — used consistently by the layout and the caches.
 constexpr Bytes kPostingBytes = 8;
@@ -29,8 +38,8 @@ constexpr Bytes kPostingBytes = 8;
 class PostingList {
  public:
   PostingList() = default;
-  /// Takes postings in any order; sorts by descending tf (ties by doc id
-  /// ascending) and builds the skip table.
+  /// Takes postings in any order; sorts them by freq_sorted_before and
+  /// builds the skip table.
   explicit PostingList(std::vector<Posting> postings,
                        std::uint32_t skip_interval = 128);
 

@@ -89,6 +89,13 @@ class LiveIndex final : public LiveOverlay {
     return segment_.count(t) > 0 || deleted_df_[t] > 0;
   }
   void collect_live(TermId t, std::vector<Posting>& out) const override;
+  /// Every tombstoned posting of `t` since the merge was counted once in
+  /// deleted_df_, whether it sits in the arenas or in the segment (whose
+  /// count() still includes it), so the difference is exact.
+  [[nodiscard]] std::int64_t df_delta(TermId t) const override {
+    return static_cast<std::int64_t>(segment_.count(t)) -
+           static_cast<std::int64_t>(deleted_df_[t]);
+  }
 
   // Observability (run report "ingest" section).
   [[nodiscard]] const LiveSegment& segment() const { return segment_; }

@@ -197,7 +197,7 @@ TEST(MaterializedTest, IndexConsistentWithCorpus) {
   // df(t) == number of docs containing t; verify on a sample.
   for (TermId t{}; t < TermId{20}; ++t) {
     std::uint64_t df = 0;
-    for (DocId d{}; d < DocId{corpus.num_docs()}; ++d) {
+    for (DocId d{}; d < static_cast<DocId>(corpus.num_docs()); ++d) {
       for (const auto& [term, tf] : corpus.doc(d)) df += term == t;
     }
     EXPECT_EQ(index.term_meta(t).df, df) << "term " << t.raw();

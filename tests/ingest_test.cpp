@@ -231,6 +231,48 @@ TEST(LiveIndexTest, MergeTriggers) {
   EXPECT_TRUE(by_ops.should_merge());  // deletes alone age the segment
 }
 
+TEST(LiveIndexTest, DfDeltaCountsEffectiveDf) {
+  // The scorer takes a dirty term's df as base size + df_delta without
+  // scanning its list; pin that against the materialized current list.
+  const CorpusConfig cc = small_corpus();
+  Rng rng(cc.seed);
+  MaterializedCorpus corpus(cc, rng);
+  MaterializedIndex index(corpus);
+  ingest::LiveIndex live(index, corpus, IngestConfig{});
+  index.attach_overlay(&live);
+
+  const auto expect_identity = [&](const char* ctx) {
+    std::vector<Posting> current;
+    for (TermId t{}; t < TermId{cc.vocab_size}; ++t) {
+      const auto base = static_cast<std::int64_t>(index.postings(t)->size());
+      if (!index.live_doc_sorted(t, current)) {
+        EXPECT_EQ(live.df_delta(t), 0) << ctx << " clean term " << t.raw();
+        continue;
+      }
+      EXPECT_EQ(base + live.df_delta(t),
+                static_cast<std::int64_t>(current.size()))
+          << ctx << " term " << t.raw();
+    }
+  };
+
+  Rng churn_rng(61);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int i = 0; i < 50; ++i) {
+      const DocId id = live.ingest(make_bag(churn_rng, cc.vocab_size, 8));
+      if (i % 3 == 0) {
+        (void)live.erase(
+            static_cast<DocId>(churn_rng.next_below(index.num_docs())),
+            nullptr);
+      }
+      if (i % 7 == 6) (void)live.erase(id, nullptr);  // still in segment
+    }
+    expect_identity("mid-segment");
+    (void)live.merge();
+    expect_identity("post-merge");
+  }
+  index.attach_overlay(nullptr);
+}
+
 // --- Oracle equivalence -------------------------------------------------
 
 TEST(LiveIndexOracleTest, ChurnMatchesRebuildFromScratch) {
