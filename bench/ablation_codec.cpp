@@ -55,7 +55,7 @@ void pruning_cells(const std::string& codec, std::uint64_t queries,
   const double oracle_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
-  MaxScoreDaatProcessor pruned(kTopK);
+  DaatProcessor pruned(kTopK, DaatMode::kBlockMax);
   bool identical = true;
   t0 = Clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -235,7 +235,7 @@ bool oracle_probe(ChurnedState& churned, const MaterializedIndex& oracle,
 bool pruned_probe(const ChurnedState& churned, std::uint64_t probes,
                   const char* ctx) {
   DaatProcessor oracle(kTopK);
-  MaxScoreDaatProcessor pruned(kTopK);
+  DaatProcessor pruned(kTopK, DaatMode::kBlockMax);
   for (std::uint64_t r = 0; r < probes; ++r) {
     const Query q = churned.sys->generator().query_for_rank(r);
     const ResultEntry want = oracle.intersect(*churned.index, q);

@@ -4,8 +4,9 @@
 // tracked across PRs (ROADMAP: "runs as fast as the hardware allows").
 //
 // Three phases isolate the layers of the query hot path:
-//  * daat  — materialized-index conjunctive top-K (DaatProcessor) on a
-//            small real corpus: pure engine + index-layout cost;
+//  * daat  — materialized-index conjunctive top-K (DaatProcessor over
+//            the compressed posting blocks) on a small real corpus:
+//            pure engine + block-decode cost;
 //  * cache — one-level (memory-only) SearchSystem at the paper's 5M-doc
 //            scale: QM/RM cache machinery without flash;
 //  * ssd   — full two-level CBSLRU hierarchy (write buffer, SSD caches,
@@ -17,7 +18,7 @@
 //
 // Override query counts with SSDSE_QUERIES (system phases) and
 // SSDSE_DAAT_QUERIES; output path with SSDSE_BENCH_OUT; the daat-phase
-// processor with SSDSE_DAAT_MODE ("exhaustive" | "block-max").
+// DaatProcessor mode with SSDSE_DAAT_MODE ("exhaustive" | "block-max").
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -94,9 +95,9 @@ struct DaatWorkload {
 /// baseline inside one binary; `kTraced=true` instruments each query
 /// against `tracer`. Both variants must produce the same checksum.
 template <bool kTraced>
-std::uint64_t daat_loop(const DaatWorkload& w,
+std::uint64_t daat_loop(const DaatWorkload& w, DaatMode mode,
                         telemetry::QueryTracer* tracer) {
-  DaatProcessor daat(/*top_k=*/kTopK);
+  DaatProcessor daat(/*top_k=*/kTopK, mode);
   std::uint64_t checksum = 0;
   for (const Query& q : w.batch) {
     if constexpr (kTraced) tracer->begin_query(q.id);
@@ -118,36 +119,17 @@ std::uint64_t daat_loop(const DaatWorkload& w,
 }
 
 /// Phase 1: the DAAT engine on a materialized index. Build cost (the
-/// one-time doc-sorted materialization) is excluded: the simulator
-/// builds once and serves millions of queries.
+/// one-time block encoding) is excluded: the simulator builds once and
+/// serves millions of queries.
 ///
-/// SSDSE_DAAT_MODE selects the processor ("exhaustive" default,
-/// "block-max" for the pruned path). Exhaustive stays the default: the
-/// pinned fingerprint folds DaatStats, which pruning legitimately
-/// changes (the results never do — BENCH_PR7.json gates that).
+/// SSDSE_DAAT_MODE selects the mode ("exhaustive" default, "block-max"
+/// for the pruned path). Exhaustive stays the default: the pinned
+/// fingerprint folds DaatStats, which pruning legitimately changes
+/// (the results never do — BENCH_PR7.json gates that).
 PhaseResult run_daat_phase(std::uint64_t queries, DaatMode mode) {
   DaatWorkload w(queries);
-  if (mode == DaatMode::kBlockMax) {
-    MaxScoreDaatProcessor daat(/*top_k=*/kTopK);
-    const auto t0 = Clock::now();
-    std::uint64_t checksum = 0;
-    for (const Query& q : w.batch) {
-      DaatStats stats;
-      const ResultEntry r = daat.intersect(*w.index, q, &stats);
-      checksum += stats.docs_scored + stats.postings_touched;
-      for (const ScoredDoc& d : r.docs) {
-        std::uint32_t bits;
-        std::memcpy(&bits, &d.score, sizeof bits);
-        checksum = checksum * 1099511628211ull + d.doc.raw() + bits;
-      }
-    }
-    const double wall = ms_since(t0);
-    return PhaseResult{"daat", queries, wall,
-                       1000.0 * static_cast<double>(queries) / wall,
-                       checksum};
-  }
   const auto t0 = Clock::now();
-  const std::uint64_t checksum = daat_loop<false>(w, nullptr);
+  const std::uint64_t checksum = daat_loop<false>(w, mode, nullptr);
   const double wall = ms_since(t0);
   return PhaseResult{"daat", queries, wall,
                      1000.0 * static_cast<double>(queries) / wall,
@@ -176,10 +158,10 @@ TraceGuardResult run_trace_guard(std::uint64_t queries) {
   double best_off = 0, best_on = 0;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = Clock::now();
-    g.fingerprint_off = daat_loop<false>(w, nullptr);
+    g.fingerprint_off = daat_loop<false>(w, DaatMode::kExhaustive, nullptr);
     const double off = ms_since(t0);
     t0 = Clock::now();
-    g.fingerprint_on = daat_loop<true>(w, &tracer);
+    g.fingerprint_on = daat_loop<true>(w, DaatMode::kExhaustive, &tracer);
     const double on = ms_since(t0);
     if (rep == 0 || off < best_off) best_off = off;
     if (rep == 0 || on < best_on) best_on = on;

@@ -13,168 +13,14 @@ DaatMode daat_mode(const std::string& name) {
   throw std::invalid_argument("unknown daat mode: " + name);
 }
 
-DocSortedList::DocSortedList(const PostingList& list,
-                             std::uint32_t skip_interval) {
-  postings_.assign(list.postings().begin(), list.postings().end());
-  std::sort(postings_.begin(), postings_.end(),
-            [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  skip_interval_ = std::max(skip_interval, 1u);
-  for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
-    skip_index_.push_back(i);
-    skip_doc_.push_back(postings_[i].doc);
-  }
-}
-
-DocSortedList::DocSortedList(std::vector<Posting> postings,
-                             std::uint32_t skip_interval)
-    : postings_(std::move(postings)) {
-  std::sort(postings_.begin(), postings_.end(),
-            [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  skip_interval_ = std::max(skip_interval, 1u);
-  for (std::uint32_t i = 0; i < postings_.size(); i += skip_interval_) {
-    skip_index_.push_back(i);
-    skip_doc_.push_back(postings_[i].doc);
-  }
-}
-
-std::size_t DocSortedList::advance(std::size_t from, DocId target,
-                                   std::uint64_t* skips_used) const {
-  if (from >= postings_.size()) return postings_.size();
-  if (postings_[from].doc >= target) return from;
-  // Skip phase: binary-search the skip table for the last entry whose
-  // doc id is still below the target, starting past `from`.
-  auto it = std::upper_bound(skip_doc_.begin(), skip_doc_.end(), target);
-  std::size_t pos = from;
-  if (it != skip_doc_.begin()) {
-    const auto skip_slot =
-        static_cast<std::size_t>(it - skip_doc_.begin()) - 1;
-    const std::size_t skip_pos = skip_index_[skip_slot];
-    if (skip_pos > pos) {
-      if (skips_used) {
-        // Count hops as the number of skip entries leapt over, derived
-        // from the stored interval (the table shape degenerates when it
-        // has a single entry).
-        const std::size_t from_slot = from / skip_interval_;
-        *skips_used += skip_slot > from_slot ? skip_slot - from_slot : 1;
-      }
-      pos = skip_pos;
-    }
-  }
-  // Scan phase.
-  while (pos < postings_.size() && postings_[pos].doc < target) ++pos;
-  return pos;
-}
-
-ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
-                                     const Query& query,
-                                     DaatStats* stats) {
-  ResultEntry out;
-  out.query = query.id;
-  if (query.terms.empty()) return out;
-
-  // Borrow the precomputed doc-sorted views — no copy, no sort. The
-  // shortest list drives the loop.
-  const std::size_t n = query.terms.size();
-  views_.clear();
-  const LiveOverlay* overlay = index.overlay();
-  if (overlay == nullptr || overlay->clean()) {
-    // Zero-churn fast path: bit-identical to a build with no overlay.
-    for (TermId t : query.terms) views_.push_back(index.doc_sorted(t));
-  } else {
-    // Churn path: dirty terms get their current postings materialized
-    // into scratch (skip-less views — a pure scan advances to the same
-    // positions a skip table would, so results match the rebuilt-index
-    // oracle; only skip_hops differs). Clean terms keep their arena
-    // slice and skip table but need the idf refreshed, since N already
-    // counts the live doc slots.
-    const double n_docs = static_cast<double>(index.num_docs());
-    if (scratch_.size() < n) scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const TermId t = query.terms[i];
-      if (index.live_doc_sorted(t, scratch_[i])) {
-        const std::vector<Posting>& s = scratch_[i];
-        views_.emplace_back(
-            s.data(), static_cast<std::uint32_t>(s.size()), nullptr, 0, 1,
-            std::log(1.0 + n_docs / (static_cast<double>(s.size()) + 1.0)));
-      } else {
-        const DocSortedView v = index.doc_sorted(t);
-        views_.emplace_back(
-            v.postings().data(), static_cast<std::uint32_t>(v.size()),
-            v.skips().data(), static_cast<std::uint32_t>(v.skips().size()),
-            v.skip_interval(),
-            std::log(1.0 + n_docs / (static_cast<double>(v.size()) + 1.0)));
-      }
-    }
-  }
-  order_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return views_[a].size() < views_[b].size();
-            });
-  if (views_[order_[0]].empty()) return out;
-
-  cursor_.assign(n, 0);
-  top_docs_.reset(top_k_);
-  std::uint64_t matched = 0, skip_hops = 0, touched = 0;
-
-  const DocSortedView& driver = views_[order_[0]];
-  const double driver_idf = driver.idf();
-  for (std::size_t dpos = 0; dpos < driver.size();) {
-    const DocId candidate = driver[dpos].doc;
-    ++touched;
-    double score = std::log(1.0 + driver[dpos].tf) * driver_idf;
-    bool all = true;
-    DocId next_candidate = candidate + 1;
-    for (std::size_t k = 1; k < n && all; ++k) {
-      const DocSortedView& list = views_[order_[k]];
-      std::size_t& cur = cursor_[order_[k]];
-      cur = list.advance(cur, candidate, &skip_hops);
-      ++touched;
-      if (cur >= list.size()) {
-        // This list is exhausted: no further candidate can match.
-        dpos = driver.size();
-        all = false;
-        break;
-      }
-      if (list[cur].doc != candidate) {
-        next_candidate = list[cur].doc;
-        all = false;
-      } else {
-        score += std::log(1.0 + list[cur].tf) * list.idf();
-      }
-    }
-    if (dpos >= driver.size()) break;
-    if (all) {
-      ++matched;
-      top_docs_.push(ScoredDoc{candidate, static_cast<float>(score)});
-      ++dpos;
-    } else {
-      // Leap the driver to the blocking list's doc id.
-      dpos = driver.advance(dpos, next_candidate, &skip_hops);
-    }
-  }
-
-  if (stats) {
-    stats->docs_scored = matched;
-    stats->postings_touched = touched;
-    stats->skip_hops = skip_hops;
-  }
-  out.docs = top_docs_.take_sorted();
-  return out;
-}
-
-// --- MaxScoreDaatProcessor ----------------------------------------------
+// --- DaatProcessor --------------------------------------------------------
 //
-// Bit-exactness contract with DaatProcessor (the oracle), relied on by
-// the equivalence suites and the BENCH_PR7 gate:
-//  * Term order: the same size-ascending std::sort over the same input
-//    permutation — scores are accumulated in double in term order, so
-//    the order must match for the float results to match bit-for-bit.
-//  * Scores: identical expressions (std::log(1.0 + tf) * idf, summed
-//    driver-first) over identical idf doubles — the block store carries
-//    the same idf the doc-sorted store does, and the churn path
-//    recomputes it with the same formula the oracle uses.
+// Bit-exactness contract between kBlockMax and kExhaustive (the oracle),
+// relied on by the equivalence suites and the BENCH_PR7 gate. The two
+// modes share every line below except the bound check, so term order
+// (size-ascending std::sort), score expressions (std::log(1.0 + tf) *
+// idf, summed driver-first) and idf doubles agree by construction. What
+// the check itself must guarantee:
 //  * Pruning soundness: a range is leapt only when the heap holds k
 //    docs AND the bound — per-term block max weight x idf, accumulated
 //    in the same order as a real score — rounds to a float STRICTLY
@@ -188,7 +34,7 @@ ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
 //    those pushes are no-ops on a full heap, so skipping them leaves
 //    the heap state — and thus every later tie-break — unchanged.
 
-const Posting& MaxScoreDaatProcessor::at(Cursor& c, std::uint32_t pos) {
+const Posting& DaatProcessor::at(Cursor& c, std::uint32_t pos) {
   if (c.flat != nullptr) return c.flat[pos];
   const std::uint32_t b = pos / kBlockPostings;
   if (b != c.decoded) {
@@ -199,12 +45,12 @@ const Posting& MaxScoreDaatProcessor::at(Cursor& c, std::uint32_t pos) {
   return c.buf[pos % kBlockPostings];
 }
 
-std::uint32_t MaxScoreDaatProcessor::advance(Cursor& c, std::uint32_t from,
-                                             DocId target,
-                                             std::uint64_t* skip_hops) {
+std::uint32_t DaatProcessor::advance(Cursor& c, std::uint32_t from,
+                                     DocId target,
+                                     std::uint64_t* skip_hops) {
   if (from >= c.size) return c.size;
   if (c.flat != nullptr) {
-    // Churn scratch: plain scan, mirroring the oracle's skip-less view.
+    // Churn scratch: plain scan (the scratch list has no skip table).
     std::uint32_t pos = from;
     while (pos < c.size && c.flat[pos].doc < target) ++pos;
     return pos;
@@ -231,9 +77,8 @@ std::uint32_t MaxScoreDaatProcessor::advance(Cursor& c, std::uint32_t from,
   return tb * kBlockPostings + rel;
 }
 
-ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
-                                             const Query& query,
-                                             DaatStats* stats) {
+ResultEntry DaatProcessor::intersect(const MaterializedIndex& index,
+                                     const Query& query, DaatStats* stats) {
   ResultEntry out;
   out.query = query.id;
   if (query.terms.empty()) return out;
@@ -273,8 +118,8 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
       c.flat = nullptr;
       c.size = c.view.size();
       // Clean term under churn: postings unchanged, but N counts the
-      // live doc slots now — recompute the idf exactly as the oracle
-      // does. (Zero churn: the stored idf IS this expression.)
+      // live doc slots now — recompute the idf with the build-time
+      // formula. (Zero churn: the stored idf IS this expression.)
       c.idf = churned ? std::log(1.0 + n_docs /
                                            (static_cast<double>(c.size) + 1.0))
                       : c.view.idf();
@@ -299,7 +144,7 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
     const Posting& dp = at(drv, drv.pos);
     const DocId candidate = dp.doc;
 
-    if (top_docs_.full()) {
+    if (mode_ == DaatMode::kBlockMax && top_docs_.full()) {
       // Bound the best possible score in [candidate, jump], where jump
       // is the nearest block end across all terms: within that range
       // every term's postings stay inside its current (aligned) block,
@@ -385,99 +230,6 @@ ResultEntry MaxScoreDaatProcessor::intersect(const MaterializedIndex& index,
     stats->skip_hops = skip_hops;
   }
   out.docs = top_docs_.take_sorted();
-  return out;
-}
-
-ResultEntry NaiveDaatProcessor::intersect(const MaterializedIndex& index,
-                                          const Query& query,
-                                          DaatStats* stats) const {
-  ResultEntry out;
-  out.query = query.id;
-  if (query.terms.empty()) return out;
-
-  // Build doc-sorted copies, shortest list first (drives the loop).
-  // num_docs() and live_doc_sorted() are overlay-aware, so the naive
-  // processor scores the churned index the way a rebuilt one would —
-  // the equivalence suite leans on that under ingestion.
-  std::vector<DocSortedList> lists;
-  lists.reserve(query.terms.size());
-  std::vector<double> idf;
-  const double n_docs = static_cast<double>(index.num_docs());
-  std::vector<Posting> live;
-  for (TermId t : query.terms) {
-    if (index.live_doc_sorted(t, live)) {
-      idf.push_back(
-          std::log(1.0 + n_docs / (static_cast<double>(live.size()) + 1.0)));
-      lists.emplace_back(std::move(live));
-      live.clear();
-    } else {
-      const PostingList* pl = index.postings(t);
-      lists.emplace_back(*pl);
-      idf.push_back(
-          std::log(1.0 + n_docs / (static_cast<double>(pl->size()) + 1.0)));
-    }
-  }
-  std::vector<std::size_t> order(lists.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return lists[a].size() < lists[b].size();
-  });
-  if (lists[order[0]].empty()) return out;
-
-  std::vector<std::size_t> cursor(lists.size(), 0);
-  std::vector<ScoredDoc> matches;
-  std::uint64_t skip_hops = 0, touched = 0;
-
-  const DocSortedList& driver = lists[order[0]];
-  for (std::size_t dpos = 0; dpos < driver.size();) {
-    const DocId candidate = driver[dpos].doc;
-    ++touched;
-    double score = std::log(1.0 + driver[dpos].tf) * idf[order[0]];
-    bool all = true;
-    DocId next_candidate = candidate + 1;
-    for (std::size_t k = 1; k < order.size() && all; ++k) {
-      const std::size_t li = order[k];
-      cursor[li] = lists[li].advance(cursor[li], candidate, &skip_hops);
-      ++touched;
-      if (cursor[li] >= lists[li].size()) {
-        // This list is exhausted: no further candidate can match.
-        dpos = driver.size();
-        all = false;
-        break;
-      }
-      if (lists[li][cursor[li]].doc != candidate) {
-        next_candidate = lists[li][cursor[li]].doc;
-        all = false;
-      } else {
-        score += std::log(1.0 + lists[li][cursor[li]].tf) * idf[li];
-      }
-    }
-    if (dpos >= driver.size()) break;
-    if (all) {
-      matches.push_back(
-          ScoredDoc{candidate, static_cast<float>(score)});
-      ++dpos;
-    } else {
-      // Leap the driver to the blocking list's doc id.
-      dpos = driver.advance(dpos, next_candidate, &skip_hops);
-    }
-  }
-
-  const std::size_t k = std::min(top_k_, matches.size());
-  std::partial_sort(matches.begin(),
-                    matches.begin() + static_cast<std::ptrdiff_t>(k),
-                    matches.end(),
-                    [](const ScoredDoc& a, const ScoredDoc& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.doc < b.doc;
-                    });
-  if (stats) {
-    stats->docs_scored = matches.size();
-    stats->postings_touched = touched;
-    stats->skip_hops = skip_hops;
-  }
-  matches.resize(k);
-  out.docs = std::move(matches);
   return out;
 }
 

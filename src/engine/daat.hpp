@@ -4,20 +4,17 @@
 // advancing the laggard cursor, and skip entries let advance() leap over
 // runs of postings instead of scanning them.
 //
-// Three processors share the algorithm (DESIGN.md §8, §13):
-//  * DaatProcessor — the exhaustive hot path: consumes the index's
-//    precomputed DocSortedViews (zero per-query copy/sort/allocation,
-//    scratch buffers reused across queries, bounded-heap top-K); also
-//    the bit-exact top-K equivalence oracle for the block-max path;
-//  * MaxScoreDaatProcessor — block-max WAND/MaxScore hybrid over the
-//    compressed posting blocks: leaps candidate ranges whose summed
-//    per-block score upper bound cannot enter the full top-K heap, and
-//    skips whole blocks (metadata-only) without decoding them. Returns
-//    bit-identical top-K to DaatProcessor by construction (see the
-//    invariant notes at the implementation);
-//  * NaiveDaatProcessor — the seed reference implementation, which
-//    rebuilds a DocSortedList per query; kept for the equivalence suite
-//    that pins the hot path to bit-identical results.
+// One processor (DESIGN.md §8, §13) runs over the index's compressed
+// posting blocks, whose per-block last doc ids are the skip table and
+// whose per-block max weights bound scores. DaatMode picks whether it
+// prunes:
+//  * kExhaustive — evaluates every candidate; the bit-exact oracle whose
+//    DaatStats feed the pinned perf_driver fingerprint;
+//  * kBlockMax   — block-max WAND/MaxScore hybrid: leaps candidate
+//    ranges whose summed per-block score upper bound cannot enter the
+//    full top-K heap. Returns bit-identical top-K to kExhaustive by
+//    construction (see the invariant notes at the implementation).
+// The seed's copy-and-sort reference lives in tests/reference_daat.hpp.
 #pragma once
 
 #include <cstdint>
@@ -32,80 +29,19 @@
 
 namespace ssdse {
 
-/// Which DAAT processor a harness drives ("exhaustive" = DaatProcessor,
-/// "block-max" = MaxScoreDaatProcessor). The exhaustive mode stays the
-/// default everywhere a fingerprint is pinned: its DaatStats feed those
-/// fingerprints, and pruning legitimately changes the stats (never the
-/// top-K).
+/// Whether DaatProcessor prunes ("exhaustive" | "block-max"). The
+/// exhaustive mode stays the default everywhere a fingerprint is
+/// pinned: its DaatStats feed those fingerprints, and pruning
+/// legitimately changes the stats (never the top-K).
 enum class DaatMode : std::uint8_t { kExhaustive, kBlockMax };
 
 /// Parse a mode name; throws std::invalid_argument on unknown names.
 DaatMode daat_mode(const std::string& name);
 
-/// Doc-id-sorted projection of a posting list with a one-level skip
-/// table (every `skip_interval` postings). Owns a per-query copy; the
-/// hot path uses the index's precomputed DocSortedView instead.
-class DocSortedList {
- public:
-  DocSortedList() = default;
-  explicit DocSortedList(const PostingList& list,
-                         std::uint32_t skip_interval = 64);
-  /// From raw postings (any order); used by the live-index equivalence
-  /// paths, where a term's current postings come from an overlay merge
-  /// rather than a stored PostingList.
-  explicit DocSortedList(std::vector<Posting> postings,
-                         std::uint32_t skip_interval = 64);
-
-  [[nodiscard]] std::size_t size() const { return postings_.size(); }
-  [[nodiscard]] bool empty() const { return postings_.empty(); }
-  const Posting& operator[](std::size_t i) const { return postings_[i]; }
-
-  /// Smallest index i >= `from` with doc id >= `target`, or size() if
-  /// none. Uses the skip table first, then scans; `skips_used`
-  /// accumulates how many skip hops were taken (observability for the
-  /// skipped-read analysis).
-  std::size_t advance(std::size_t from, DocId target,
-                      std::uint64_t* skips_used = nullptr) const;
-
-  [[nodiscard]] std::span<const Posting> postings() const { return postings_; }
-
- private:
-  std::vector<Posting> postings_;  // doc-id ascending
-  std::vector<std::uint32_t> skip_index_;  // indices into postings_
-  std::vector<DocId> skip_doc_;            // doc id at each skip entry
-  std::uint32_t skip_interval_ = 1;        // spacing of skip entries
-};
-
 struct DaatStats {
   std::uint64_t docs_scored = 0;     // documents containing all terms
   std::uint64_t postings_touched = 0;
-  std::uint64_t skip_hops = 0;       // skip-table leaps taken
-};
-
-/// Conjunctive (AND) top-K: returns documents containing *every* query
-/// term, scored by summed log-tf x idf, descending. Intersects the
-/// index's precomputed doc-sorted views; per-processor scratch buffers
-/// make intersect() allocation-free apart from the returned top-K.
-/// Not thread-safe: use one processor per worker thread.
-class DaatProcessor {
- public:
-  explicit DaatProcessor(std::size_t top_k = kTopK) : top_k_(top_k) {}
-
-  /// Requires a materialized index (real postings).
-  ResultEntry intersect(const MaterializedIndex& index, const Query& query,
-                        DaatStats* stats = nullptr);
-
- private:
-  std::size_t top_k_;
-  // Scratch reused across queries (sized to the query's term count).
-  std::vector<DocSortedView> views_;
-  std::vector<std::size_t> cursor_;
-  std::vector<std::uint32_t> order_;
-  // Churn path only: per-term materialized postings (base minus
-  // tombstones plus live segment) that the views borrow. Untouched —
-  // and unallocated — while the attached overlay is clean.
-  std::vector<std::vector<Posting>> scratch_;
-  TopKAccumulator top_docs_;
+  std::uint64_t skip_hops = 0;       // posting blocks leapt by advance()
 };
 
 /// Cumulative block-max pruning observability (registry counters
@@ -118,31 +54,37 @@ struct PruningStats {
   std::uint64_t postings_pruned = 0; // driver postings never evaluated
 };
 
-/// Block-max DAAT (DESIGN.md §13): same conjunctive intersection as
-/// DaatProcessor, driven over the index's compressed posting blocks.
-/// Once the top-K heap is full, each candidate is preceded by a bound
-/// check — the sum over query terms of (current block's max weight x
-/// idf), accumulated in the exact float order the real score would be.
-/// If even that bound rounds below the heap's worst score, no document
-/// up to the nearest block boundary can enter the heap, and the driver
-/// leaps the whole range. Results are bit-identical to DaatProcessor;
-/// DaatStats are not (that is the point), so fingerprints that fold in
-/// stats are pinned on the exhaustive oracle only.
-/// Not thread-safe: one processor per worker thread.
-class MaxScoreDaatProcessor {
+/// Conjunctive (AND) top-K over the index's compressed posting blocks:
+/// returns documents containing *every* query term, scored by summed
+/// log-tf x idf, descending. The shortest list drives; the others
+/// advance to each candidate via their block skip tables, decoding only
+/// the blocks they land in. Scratch buffers are reused across queries,
+/// so intersect() is allocation-free apart from the returned top-K.
+///
+/// In kBlockMax mode, once the top-K heap is full each candidate is
+/// preceded by a bound check — the sum over query terms of (current
+/// block's max weight x idf), accumulated in the exact float order the
+/// real score would be. If even that bound rounds below the heap's
+/// worst score, no document up to the nearest block boundary can enter
+/// the heap, and the driver leaps the whole range. kExhaustive skips
+/// the check and nothing else.
+///
+/// Overlay-aware: dirty terms bypass their stale blocks and are
+/// re-materialized into scratch with an exact, freshly computed max
+/// weight, so pruning stays safe under churn.
+/// Not thread-safe: use one processor per worker thread.
+class DaatProcessor {
  public:
-  explicit MaxScoreDaatProcessor(std::size_t top_k = kTopK)
-      : top_k_(top_k) {}
+  explicit DaatProcessor(std::size_t top_k = kTopK,
+                         DaatMode mode = DaatMode::kExhaustive)
+      : top_k_(top_k), mode_(mode) {}
 
   /// Requires a materialized index (compressed blocks are built with
-  /// it). Overlay-aware: dirty terms bypass their stale blocks and are
-  /// re-materialized into scratch with an exact, freshly computed max
-  /// weight, so pruning stays safe under churn.
+  /// it).
   ResultEntry intersect(const MaterializedIndex& index, const Query& query,
                         DaatStats* stats = nullptr);
 
   [[nodiscard]] const PruningStats& pruning() const { return pruning_; }
-  void reset_pruning() { pruning_ = PruningStats{}; }
 
  private:
   /// Per-term state over either a compressed block view (flat ==
@@ -166,6 +108,7 @@ class MaxScoreDaatProcessor {
                         std::uint64_t* skip_hops);
 
   std::size_t top_k_;
+  DaatMode mode_;
   // Scratch reused across queries.
   std::vector<Cursor> cursors_;
   std::vector<std::uint32_t> order_;
@@ -173,22 +116,6 @@ class MaxScoreDaatProcessor {
   std::vector<std::vector<Posting>> block_buf_;  // per-term decode buffers
   TopKAccumulator top_docs_;
   PruningStats pruning_;
-};
-
-/// Reference implementation with seed semantics: copies and re-sorts
-/// every posting list per query, collects all matches, partial-sorts.
-/// Slow by design — the equivalence suite intersects through both
-/// processors and asserts bit-identical results and stats.
-class NaiveDaatProcessor {
- public:
-  explicit NaiveDaatProcessor(std::size_t top_k = kTopK)
-      : top_k_(top_k) {}
-
-  ResultEntry intersect(const MaterializedIndex& index, const Query& query,
-                        DaatStats* stats = nullptr) const;
-
- private:
-  std::size_t top_k_;
 };
 
 }  // namespace ssdse

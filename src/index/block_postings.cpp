@@ -248,6 +248,14 @@ std::uint32_t BlockPostingView::decode_block(std::uint32_t b,
   return count;
 }
 
+void BlockPostingView::decode_all(std::vector<Posting>& out) const {
+  std::size_t pos = out.size();
+  out.resize(pos + count_);
+  for (std::uint32_t b = 0; b < num_blocks_; ++b) {
+    pos += decode_block(b, out.data() + pos);
+  }
+}
+
 std::uint32_t BlockPostingView::find_block(std::uint32_t from,
                                            DocId target) const {
   // Common case first: the current block still covers the target.
@@ -305,6 +313,19 @@ void BlockPostingStore::add_list(std::span<const Posting> doc_sorted,
   counts_.push_back(static_cast<std::uint32_t>(doc_sorted.size()));
   idf_.push_back(idf);
   total_postings_ += doc_sorted.size();
+}
+
+void BlockPostingStore::add_encoded(const BlockPostingView& v, double idf) {
+  if (v.kind() != kind_) {
+    throw std::invalid_argument("BlockPostingStore: codec kind mismatch");
+  }
+  bytes_.insert(bytes_.end(), v.bytes().begin(), v.bytes().end());
+  metas_.insert(metas_.end(), v.metas().begin(), v.metas().end());
+  byte_off_.push_back(bytes_.size());
+  meta_off_.push_back(metas_.size());
+  counts_.push_back(v.size());
+  idf_.push_back(idf);
+  total_postings_ += v.size();
 }
 
 }  // namespace ssdse

@@ -18,7 +18,11 @@
 // max(log(1 + tf)), stored WITHOUT the idf factor so the bound stays
 // exact when N — and therefore every idf — changes under live ingest.
 // The block-max DAAT scorer multiplies it by the idf in force at query
-// time (see MaxScoreDaatProcessor).
+// time (see DaatProcessor).
+//
+// This is the index's only doc-ordered copy of the postings: the DAAT
+// engine reads it directly, and MaterializedIndex::live_doc_sorted
+// decodes it when a churned term needs its full current list.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +89,14 @@ class BlockPostingView {
   [[nodiscard]] Bytes encoded_bytes() const { return byte_len_; }
 
   const PostingBlockMeta& block(std::uint32_t b) const { return metas_[b]; }
+  /// The term's encoded byte slice and block metadata, exactly as
+  /// stored (block byte offsets are relative to bytes().data()).
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {bytes_, byte_len_};
+  }
+  [[nodiscard]] std::span<const PostingBlockMeta> metas() const {
+    return {metas_, num_blocks_};
+  }
 
   /// Postings in block `b`: kBlockPostings except for the short tail.
   [[nodiscard]] std::uint32_t block_size(std::uint32_t b) const {
@@ -95,6 +107,9 @@ class BlockPostingView {
   /// Decode block `b` into `out` (capacity >= kBlockPostings); returns
   /// the posting count.
   std::uint32_t decode_block(std::uint32_t b, Posting* out) const;
+
+  /// Append every posting, doc-ascending, to `out`.
+  void decode_all(std::vector<Posting>& out) const;
 
   /// Smallest block index >= `from` whose last doc id is >= `target`
   /// (i.e. the block that could contain `target`), or num_blocks() if
@@ -112,10 +127,10 @@ class BlockPostingView {
   CodecKind kind_ = CodecKind::kBlockPacked;
 };
 
-/// Build-once owner of every term's compressed posting blocks. Mirrors
-/// DocSortedStore's arena discipline: one contiguous byte arena and one
-/// contiguous block-meta arena shared by all terms, per-term slice
-/// bounds on the side, lists appended in term-id order.
+/// Build-once owner of every term's compressed posting blocks: one
+/// contiguous byte arena and one contiguous block-meta arena shared by
+/// all terms, per-term slice bounds on the side, lists appended in
+/// term-id order.
 class BlockPostingStore {
  public:
   explicit BlockPostingStore(CodecKind kind = CodecKind::kBlockPacked);
@@ -123,9 +138,15 @@ class BlockPostingStore {
   void reserve(std::size_t num_terms, std::size_t total_postings);
 
   /// Append term `num_terms()`'s list. `doc_sorted` must be doc-id
-  /// ascending (same contract as DocSortedStore::add_list); the per-
-  /// block max weights are computed here, at materialization time.
+  /// ascending; the per-block max weights are computed here, at
+  /// materialization time.
   void add_list(std::span<const Posting> doc_sorted, double idf);
+
+  /// Append term `num_terms()`'s list as an already-encoded slice of a
+  /// store of the same kind: bytes and block metadata are copied
+  /// verbatim (no decode, no re-encode) under a new `idf`. The merge
+  /// uses this for every term whose postings did not change.
+  void add_encoded(const BlockPostingView& v, double idf);
 
   BlockPostingView view(TermId t) const {
     const auto b0 = byte_off_[t];

@@ -8,14 +8,6 @@
 
 namespace ssdse {
 
-namespace {
-
-IndexLayout layout_from_sizes(std::vector<Bytes> sizes) {
-  return IndexLayout(sizes);
-}
-
-}  // namespace
-
 AnalyticIndex::AnalyticIndex(const CorpusConfig& cfg) : model_(cfg) {
   std::vector<Bytes> sizes(model_.vocab_size());
   metas_.resize(model_.vocab_size());
@@ -27,7 +19,7 @@ AnalyticIndex::AnalyticIndex(const CorpusConfig& cfg) : model_(cfg) {
         df, model_.list_bytes(t), model_.utilization(t),
         df ? std::log(1.0 + n_docs / static_cast<double>(df)) : 0.0};
   }
-  layout_ = layout_from_sizes(std::move(sizes));
+  layout_ = IndexLayout(sizes);
   register_meta_table(metas_.data(), metas_.size());
 }
 
@@ -54,36 +46,20 @@ MaterializedIndex::MaterializedIndex(const MaterializedCorpus& corpus)
   sizes.reserve(raw.size());
   std::size_t total_postings = 0;
   for (const auto& postings : raw) total_postings += postings.size();
-  doc_sorted_.reserve(raw.size(), total_postings);
-  // The block store always exists (the block-max DAAT path needs it);
-  // when the corpus codec itself is a block codec it doubles as the
-  // on-disk size authority, so meta.list_bytes charges the slice's
-  // actual encoded bytes.
+  // The block store always exists (it is the doc-ordered copy the DAAT
+  // engine reads); when the corpus codec itself is a block codec it
+  // doubles as the on-disk size authority, so meta.list_bytes charges
+  // the slice's actual encoded bytes.
   blocks_ = BlockPostingStore(is_block_codec(kind) ? kind
                                                    : CodecKind::kBlockPacked);
   blocks_.reserve(raw.size(), total_postings);
   const double n_docs = static_cast<double>(num_docs_);
   for (auto& postings : raw) {
-    // The corpus emits postings in ascending doc order, so the raw list
-    // *is* the doc-sorted projection: snapshot it into the arena before
-    // PostingList re-sorts by descending tf.
+    // Docs were visited in ascending order, so the raw list is already
+    // doc-sorted: encode it before PostingList re-sorts by descending tf.
     const double daat_idf = std::log(
         1.0 + n_docs / (static_cast<double>(postings.size()) + 1.0));
-    const bool sorted = std::is_sorted(
-        postings.begin(), postings.end(),
-        [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-    if (sorted) {
-      doc_sorted_.add_list(postings, daat_idf);
-      blocks_.add_list(postings, daat_idf);
-    } else {  // future-proofing: corpora built from unordered sources
-      std::vector<Posting> by_doc(postings);
-      std::sort(by_doc.begin(), by_doc.end(),
-                [](const Posting& a, const Posting& b) {
-                  return a.doc < b.doc;
-                });
-      doc_sorted_.add_list(by_doc, daat_idf);
-      blocks_.add_list(by_doc, daat_idf);
-    }
+    blocks_.add_list(postings, daat_idf);
     const double scoring_idf =
         postings.empty()
             ? 0.0
@@ -100,7 +76,7 @@ MaterializedIndex::MaterializedIndex(const MaterializedCorpus& corpus)
                               /*utilization=*/1.0, scoring_idf});
     sizes.push_back(metas_.back().list_bytes);
   }
-  layout_ = layout_from_sizes(std::move(sizes));
+  layout_ = IndexLayout(sizes);
   pu_mean_.assign(lists_.size(), 1.0f);
   pu_samples_.assign(lists_.size(), 0);
   register_meta_table(metas_.data(), metas_.size());
@@ -120,10 +96,10 @@ bool MaterializedIndex::live_doc_sorted(TermId t,
     throw std::out_of_range("MaterializedIndex: term id out of range");
   }
   scratch.clear();
-  const DocSortedView v = doc_sorted_.view(t);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (!overlay_->is_deleted(v[i].doc)) scratch.push_back(v[i]);
-  }
+  blocks_.view(t).decode_all(scratch);
+  std::erase_if(scratch, [this](const Posting& p) {
+    return overlay_->is_deleted(p.doc);
+  });
   // Live ids are all >= base_docs() and the segment stores them
   // doc-ascending, so appending preserves doc order.
   overlay_->collect_live(t, scratch);
@@ -136,25 +112,19 @@ void MaterializedIndex::rebuild_lists(
         replacements) {
   const double n_docs = static_cast<double>(new_num_docs);
   const std::size_t vocab = lists_.size();
-  std::size_t total = doc_sorted_.total_postings();
+  std::size_t total = blocks_.total_postings();
   for (const auto& [t, repl] : replacements) {
     total += repl.size();
-    total -= doc_sorted_.view(t).size();
+    total -= blocks_.view(t).size();
   }
-  // Rebuild the doc-sorted arenas wholesale: slices are contiguous and
-  // index-ordered, so a churned term in the middle cannot be patched in
-  // place. The frequency-sorted lists and metas are per-term and ARE
-  // patched in place — metas_ never reallocates, keeping the registered
-  // meta table valid.
-  DocSortedStore fresh;
-  fresh.reserve(vocab, total);
-  // The block store is rebuilt in the same pass, straight from the
-  // replacement spans / arena slices — compressed blocks (and their
-  // skip + block-max metadata) come out of the merge directly, with no
-  // uncompressed intermediate arena. Stale block-max entries cannot
-  // survive: a churned term's metadata is recomputed from its new
-  // postings here, and until the merge lands the block-max scorer
-  // bypasses dirty terms entirely (their blocks are no longer exact).
+  // Block slices are contiguous and index-ordered, so a churned term in
+  // the middle cannot be patched in place: the store is rebuilt in one
+  // pass. Churned terms are encoded from their replacement postings
+  // (fresh block maxima, so no stale bound survives the merge); every
+  // other term's slice is copied verbatim under the refreshed idf. The
+  // frequency-sorted lists and metas are per-term and ARE patched in
+  // place — metas_ never reallocates, keeping the registered meta table
+  // valid.
   BlockPostingStore fresh_blocks(blocks_.kind());
   fresh_blocks.reserve(vocab, total);
   const CodecKind kind = codec_kind(codec_name_);
@@ -165,10 +135,9 @@ void MaterializedIndex::rebuild_lists(
     if (r < replacements.size() && replacements[r].first == t) {
       const std::vector<Posting>& repl = replacements[r].second;
       ++r;
-      const double daat_idf = std::log(
-          1.0 + n_docs / (static_cast<double>(repl.size()) + 1.0));
-      fresh.add_list(repl, daat_idf);
-      fresh_blocks.add_list(repl, daat_idf);
+      fresh_blocks.add_list(
+          repl, std::log(1.0 + n_docs /
+                                   (static_cast<double>(repl.size()) + 1.0)));
       lists_[t] = PostingList(repl);
       const Bytes encoded =
           lists_[t].empty()
@@ -182,11 +151,9 @@ void MaterializedIndex::rebuild_lists(
       pu_mean_[t] = 1.0f;
       pu_samples_[t] = 0;
     } else {
-      const DocSortedView v = doc_sorted_.view(t);
-      const double daat_idf = std::log(
-          1.0 + n_docs / (static_cast<double>(v.size()) + 1.0));
-      fresh.add_list(v.postings(), daat_idf);
-      fresh_blocks.add_list(v.postings(), daat_idf);
+      const BlockPostingView v = blocks_.view(t);
+      fresh_blocks.add_encoded(
+          v, std::log(1.0 + n_docs / (static_cast<double>(v.size()) + 1.0)));
     }
     // N changed for everyone: refresh the scoring idf of every term.
     metas_[t].idf =
@@ -196,9 +163,8 @@ void MaterializedIndex::rebuild_lists(
     sizes[t.raw()] = metas_[t].list_bytes;
   }
   num_docs_ = new_num_docs;
-  doc_sorted_ = std::move(fresh);
   blocks_ = std::move(fresh_blocks);
-  layout_ = layout_from_sizes(std::move(sizes));
+  layout_ = IndexLayout(sizes);
 }
 
 void MaterializedIndex::record_utilization(TermId t, double pu) {

@@ -18,7 +18,6 @@
 
 #include "src/index/block_postings.hpp"
 #include "src/index/corpus.hpp"
-#include "src/index/doc_sorted.hpp"
 #include "src/index/layout.hpp"
 #include "src/index/live_view.hpp"
 #include "src/index/posting.hpp"
@@ -115,23 +114,19 @@ class MaterializedIndex final : public IndexView {
   [[nodiscard]] const IndexLayout& layout() const override { return layout_; }
   const PostingList* postings(TermId t) const override { return &lists_[t]; }
 
-  /// Borrow the precomputed doc-sorted projection of a term's list
-  /// (immutable arena slice; no copy, no sort — DESIGN.md §8).
-  DocSortedView doc_sorted(TermId t) const { return doc_sorted_.view(t); }
-  [[nodiscard]] const DocSortedStore& doc_sorted_store() const { return doc_sorted_; }
-
   /// Borrow the compressed posting blocks of a term (skip + block-max
-  /// metadata included — DESIGN.md §13). Built once per index, rebuilt
-  /// on merge; the block codec follows the corpus codec when that is a
-  /// block codec, otherwise defaults to block-packed.
+  /// metadata included — DESIGN.md §13): the index's only doc-ordered
+  /// copy of the postings. Built once per index, rebuilt on merge; the
+  /// block codec follows the corpus codec when that is a block codec,
+  /// otherwise defaults to block-packed.
   BlockPostingView block_postings(TermId t) const { return blocks_.view(t); }
   [[nodiscard]] const BlockPostingStore& block_store() const { return blocks_; }
 
-  /// Uncompressed footprint of the doc-sorted arena (8 B/posting); the
+  /// Uncompressed footprint of the postings (8 B/posting); the
   /// numerator of the `index.codec.ratio` telemetry gauge whose
   /// denominator is block_store().encoded_bytes().
   [[nodiscard]] Bytes raw_posting_bytes() const {
-    return doc_sorted_.total_postings() * kPostingBytes;
+    return blocks_.total_postings() * kPostingBytes;
   }
 
   /// Called by the scorer after processing a list; keeps a running mean
@@ -145,19 +140,21 @@ class MaterializedIndex final : public IndexView {
   [[nodiscard]] const LiveOverlay* overlay() const { return overlay_; }
 
   /// Materialize the *current* doc-sorted postings of a churned term
-  /// into `scratch`: arena postings minus tombstones, plus live-segment
-  /// postings (doc-ascending by the monotone-id invariant). Returns
-  /// false — leaving `scratch` untouched — when the term is clean, in
-  /// which case doc_sorted(t) is already exact.
+  /// into `scratch`: its decoded blocks minus tombstones, plus
+  /// live-segment postings (doc-ascending by the monotone-id
+  /// invariant). Returns false — leaving `scratch` untouched — when the
+  /// term is clean, in which case block_postings(t) is already exact.
   bool live_doc_sorted(TermId t, std::vector<Posting>& scratch) const;
 
   /// Fold a merge into the materialized state: `replacements` holds the
   /// full new doc-sorted postings for every churned term (TermId
-  /// ascending); every other term keeps its postings. All arenas, skip
-  /// tables, frequency-sorted lists, metas (df, encoded bytes, idf) and
-  /// the layout are rebuilt so the result is bit-identical to an index
-  /// constructed from the equivalent corpus with `new_num_docs` docs.
-  /// Rebuilt terms restart PU tracking at the optimistic 1.0 default.
+  /// ascending); every other term keeps its postings. Replacements are
+  /// encoded afresh; every other term's encoded slice is copied
+  /// verbatim under its refreshed idf. Block store, frequency-sorted
+  /// lists, metas (df, encoded bytes, idf) and the layout come out
+  /// bit-identical to an index constructed from the equivalent corpus
+  /// with `new_num_docs` docs. Rebuilt terms restart PU tracking at the
+  /// optimistic 1.0 default.
   void rebuild_lists(
       std::uint64_t new_num_docs,
       const std::vector<std::pair<TermId, std::vector<Posting>>>& replacements);
@@ -168,8 +165,7 @@ class MaterializedIndex final : public IndexView {
   const LiveOverlay* overlay_ = nullptr;
   IdVector<TermId, PostingList> lists_;
   IndexLayout layout_;
-  DocSortedStore doc_sorted_;  // build-once doc-ordered projections
-  BlockPostingStore blocks_;   // compressed blocks + skip/max metadata
+  BlockPostingStore blocks_;  // doc-ordered compressed blocks + skip/max
   // Contiguous TermMeta table (df, encoded bytes, running-mean PU, idf)
   // backing term_meta_fast(); record_utilization keeps the utilization
   // field in step with pu_mean_.

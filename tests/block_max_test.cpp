@@ -1,9 +1,9 @@
 // Block-max pruning suite (DESIGN.md §13): the compressed posting-block
-// store's structural invariants (block decode == doc-sorted arena,
-// stored block max >= every decoded weight), and the equivalence
-// contract of MaxScoreDaatProcessor — bit-identical top-K to the
-// exhaustive DaatProcessor oracle across randomized corpora, crafted
-// edge cases, and live-index churn.
+// store's structural invariants (block decode == the corpus's postings
+// in doc order, stored block max >= every decoded weight), and the
+// equivalence contract of DaatProcessor's block-max mode — bit-identical
+// top-K to the exhaustive mode across randomized corpora, crafted edge
+// cases, and live-index churn.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -46,29 +46,45 @@ void expect_docs_identical(const ResultEntry& pruned, const ResultEntry& ref,
 
 // --- BlockPostingStore invariants ---------------------------------------
 
-TEST(BlockPostingStoreTest, DecodeMatchesDocSortedArenaEveryTerm) {
+TEST(BlockPostingStoreTest, DecodeMatchesCorpusPostingsEveryTerm) {
+  Rng rng(pruning_corpus().seed);
+  MaterializedCorpus corpus(pruning_corpus(), rng);
+  // Reference: every term's postings in doc order, straight from the
+  // corpus's documents.
+  std::vector<std::vector<Posting>> by_term(corpus.vocab_size());
+  for (DocId d{}; d.raw() < corpus.num_docs(); ++d) {
+    for (const auto& [term, tf] : corpus.doc(d)) {
+      by_term[term.raw()].push_back(Posting{d, tf});
+    }
+  }
+  const MaterializedIndex index(corpus);
+  const auto expect_decodes_to = [](const BlockPostingView& v,
+                                    const std::vector<Posting>& ref,
+                                    std::uint32_t term) {
+    ASSERT_EQ(v.size(), ref.size()) << "term " << term;
+    Posting buf[kBlockPostings];
+    std::size_t abs = 0;
+    for (std::uint32_t b = 0; b < v.num_blocks(); ++b) {
+      const std::uint32_t count = v.decode_block(b, buf);
+      ASSERT_EQ(count, v.block_size(b));
+      for (std::uint32_t i = 0; i < count; ++i, ++abs) {
+        ASSERT_EQ(buf[i], ref[abs]) << "term " << term << " abs " << abs;
+      }
+      EXPECT_EQ(v.block(b).last_doc, buf[count - 1].doc);
+    }
+    ASSERT_EQ(abs, ref.size());
+    std::vector<Posting> all;
+    v.decode_all(all);
+    ASSERT_EQ(all, ref) << "term " << term;
+  };
   for (const CodecKind kind :
        {CodecKind::kBlockPacked, CodecKind::kStreamVByte}) {
-    Rng rng(pruning_corpus().seed);
-    MaterializedCorpus corpus(pruning_corpus(), rng);
-    MaterializedIndex index(corpus);
     BlockPostingStore store(kind);
     for (TermId t{}; t < TermId{index.vocab_size()}; ++t) {
-      const DocSortedView ref = index.doc_sorted(t);
-      store.add_list(ref.postings(), ref.idf());
-      const BlockPostingView v = store.view(t);
-      ASSERT_EQ(v.size(), ref.size()) << "term " << t.raw();
-      Posting buf[kBlockPostings];
-      std::size_t abs = 0;
-      for (std::uint32_t b = 0; b < v.num_blocks(); ++b) {
-        const std::uint32_t count = v.decode_block(b, buf);
-        ASSERT_EQ(count, v.block_size(b));
-        for (std::uint32_t i = 0; i < count; ++i, ++abs) {
-          ASSERT_EQ(buf[i], ref[abs]) << "term " << t.raw() << " abs " << abs;
-        }
-        EXPECT_EQ(v.block(b).last_doc, buf[count - 1].doc);
-      }
-      ASSERT_EQ(abs, ref.size());
+      const std::vector<Posting>& ref = by_term[t.raw()];
+      store.add_list(ref, index.block_postings(t).idf());
+      expect_decodes_to(store.view(t), ref, t.raw());
+      expect_decodes_to(index.block_postings(t), ref, t.raw());
     }
     EXPECT_LT(store.encoded_bytes() * 5 / 2,
               store.total_postings() * kPostingBytes)
@@ -140,7 +156,7 @@ TEST(MaxScoreEquivalenceTest, RandomizedQueriesBitIdenticalToOracle) {
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
   DaatProcessor oracle(10);
-  MaxScoreDaatProcessor pruned(10);
+  DaatProcessor pruned(10, DaatMode::kBlockMax);
   Rng qrng(909);
   for (QueryId qid{}; qid < QueryId{1'000}; ++qid) {
     const std::size_t n_terms = 1 + qrng.next_below(4);
@@ -158,6 +174,9 @@ TEST(MaxScoreEquivalenceTest, RandomizedQueriesBitIdenticalToOracle) {
   EXPECT_GT(pruned.pruning().prune_jumps, 0u);
   EXPECT_GT(pruned.pruning().postings_pruned, 0u);
   EXPECT_GT(pruned.pruning().blocks_decoded, 0u);
+  // The exhaustive mode never takes the bound check.
+  EXPECT_EQ(oracle.pruning().prune_jumps, 0u);
+  EXPECT_EQ(oracle.pruning().postings_pruned, 0u);
 }
 
 TEST(MaxScoreEquivalenceTest, StreamVByteIndexMatchesToo) {
@@ -170,7 +189,7 @@ TEST(MaxScoreEquivalenceTest, StreamVByteIndexMatchesToo) {
   MaterializedIndex index(corpus);
   ASSERT_EQ(index.block_store().kind(), CodecKind::kStreamVByte);
   DaatProcessor oracle(10);
-  MaxScoreDaatProcessor pruned(10);
+  DaatProcessor pruned(10, DaatMode::kBlockMax);
   Rng qrng(911);
   for (QueryId qid{}; qid < QueryId{300}; ++qid) {
     Query q{qid, {}};
@@ -190,7 +209,7 @@ TEST(MaxScoreEquivalenceTest, UnboundedTopKNeverPrunes) {
   MaterializedCorpus corpus(pruning_corpus(), rng);
   MaterializedIndex index(corpus);
   DaatProcessor oracle(100'000);
-  MaxScoreDaatProcessor pruned(100'000);
+  DaatProcessor pruned(100'000, DaatMode::kBlockMax);
   Rng qrng(913);
   for (QueryId qid{}; qid < QueryId{100}; ++qid) {
     Query q{qid, {}};
@@ -214,7 +233,7 @@ class MaxScoreEdgeTest : public ::testing::Test {
 
   void check(const Query& q, std::size_t top_k = 10) {
     DaatProcessor oracle(top_k);
-    MaxScoreDaatProcessor pruned(top_k);
+    DaatProcessor pruned(top_k, DaatMode::kBlockMax);
     expect_docs_identical(pruned.intersect(index_, q),
                           oracle.intersect(index_, q), q.id);
   }
@@ -245,7 +264,7 @@ TEST_F(MaxScoreEdgeTest, TopKZeroAndOne) {
 
 TEST_F(MaxScoreEdgeTest, ScratchReuseAcrossMixedQueries) {
   DaatProcessor oracle(10);
-  MaxScoreDaatProcessor pruned(10);
+  DaatProcessor pruned(10, DaatMode::kBlockMax);
   Rng rng(404);
   for (QueryId qid{}; qid < QueryId{200}; ++qid) {
     const std::size_t n_terms = 1 + rng.next_below(5);
@@ -279,7 +298,7 @@ TEST(MaxScoreChurnTest, DirtyTermsBypassStaleBlockMax) {
   index.attach_overlay(&live);
 
   DaatProcessor oracle(10);
-  MaxScoreDaatProcessor pruned(10);
+  DaatProcessor pruned(10, DaatMode::kBlockMax);
   Rng crng(515);
   const auto run_queries = [&](QueryId base) {
     for (QueryId i{}; i < QueryId{150}; ++i) {
@@ -316,8 +335,8 @@ TEST(MaxScoreChurnTest, DirtyTermsBypassStaleBlockMax) {
   ASSERT_FALSE(live.clean());
   run_queries(QueryId{10'000});
 
-  // Post-merge: blocks (and block-max metadata) rebuilt from the merged
-  // postings; the clean fast path is back in force.
+  // Post-merge: churned terms' blocks (and block-max metadata) rebuilt
+  // from the merged postings; the clean fast path is back in force.
   live.merge();
   ASSERT_TRUE(live.clean());
   run_queries(QueryId{20'000});

@@ -7,6 +7,7 @@
 // docs appended at their assigned ids). Plus the two-level cache
 // coherence discipline: ingest/delete invalidates affected cached
 // entries, merge invalidates nothing.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "src/ingest/live_index.hpp"
 #include "src/ingest/live_segment.hpp"
 #include "src/util/rng.hpp"
+#include "tests/reference_daat.hpp"
 
 namespace ssdse {
 namespace {
@@ -97,8 +99,8 @@ void expect_docs_eq(const ResultEntry& got, const ResultEntry& want,
 
 /// Both DAAT processors against the overlayed index must match the
 /// oracle bit-for-bit. Stats are compared only when `skips_rebuilt`
-/// (post-merge): the live scratch views carry no skip tables, so
-/// skip_hops legitimately differs mid-segment.
+/// (post-merge): dirty terms are scanned from scratch lists without
+/// block skip tables, so skip_hops legitimately differs mid-segment.
 void expect_oracle_equivalent(const MaterializedIndex& live_index,
                               const Oracle& oracle,
                               const std::vector<Query>& queries,
@@ -120,6 +122,42 @@ void expect_oracle_equivalent(const MaterializedIndex& live_index,
       EXPECT_EQ(fs.skip_hops, os.skip_hops) << ctx << " query " << q.id.raw();
     }
   }
+}
+
+/// Post-merge, every term's compressed block slice must equal the
+/// rebuild-from-scratch oracle's: churned terms are re-encoded, clean
+/// terms copied verbatim, and both must land on the oracle's bytes,
+/// block metadata, posting count and idf bits.
+void expect_blocks_identical(const MaterializedIndex& live_index,
+                             const MaterializedIndex& oracle,
+                             const char* ctx) {
+  ASSERT_EQ(live_index.vocab_size(), oracle.vocab_size()) << ctx;
+  ASSERT_EQ(live_index.block_store().kind(), oracle.block_store().kind())
+      << ctx;
+  for (TermId t{}; t < TermId{oracle.vocab_size()}; ++t) {
+    const BlockPostingView got = live_index.block_postings(t);
+    const BlockPostingView want = oracle.block_postings(t);
+    ASSERT_EQ(got.size(), want.size()) << ctx << " term " << t.raw();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.idf()),
+              std::bit_cast<std::uint64_t>(want.idf()))
+        << ctx << " term " << t.raw();
+    ASSERT_TRUE(std::ranges::equal(got.bytes(), want.bytes()))
+        << ctx << " term " << t.raw();
+    ASSERT_EQ(got.num_blocks(), want.num_blocks())
+        << ctx << " term " << t.raw();
+    for (std::uint32_t b = 0; b < want.num_blocks(); ++b) {
+      const PostingBlockMeta& g = got.block(b);
+      const PostingBlockMeta& w = want.block(b);
+      EXPECT_EQ(g.last_doc, w.last_doc) << ctx << " term " << t.raw();
+      EXPECT_EQ(g.byte_off, w.byte_off) << ctx << " term " << t.raw();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.max_weight),
+                std::bit_cast<std::uint64_t>(w.max_weight))
+          << ctx << " term " << t.raw() << " block " << b;
+    }
+  }
+  EXPECT_EQ(live_index.block_store().encoded_bytes(),
+            oracle.block_store().encoded_bytes())
+      << ctx;
 }
 
 // --- LiveSegment --------------------------------------------------------
@@ -306,12 +344,14 @@ TEST(LiveIndexOracleTest, ChurnMatchesRebuildFromScratch) {
   ASSERT_EQ(index.num_docs(), mid.index.num_docs());
   expect_oracle_equivalent(index, mid, queries, "mid-segment", false);
 
-  // Merge is content-neutral: same results, now from rebuilt arenas
+  // Merge is content-neutral: same results, now from rebuilt blocks
   // with skip tables — full stats equality included.
   const ingest::MergeOutcome outcome = live.merge();
   EXPECT_GT(outcome.terms_rebuilt, 0u);
+  EXPECT_LT(outcome.terms_rebuilt, cc.vocab_size);  // clean terms exist
   EXPECT_TRUE(live.clean());
   EXPECT_EQ(index.num_docs(), mid.index.num_docs());
+  expect_blocks_identical(index, mid.index, "post-merge");
   expect_oracle_equivalent(index, mid, queries, "post-merge", true);
 
   // Term metadata reconverges too (df, bytes, scoring idf).
@@ -348,6 +388,7 @@ TEST(LiveIndexOracleTest, RepeatedMergeCyclesStayExact) {
     if (live.erase(victim, nullptr)) mirror.erase(victim);
     (void)live.merge();
     const Oracle oracle(cc, mirror);
+    expect_blocks_identical(index, oracle.index, "cycle");
     const std::vector<Query> queries =
         random_queries(query_rng, cc.vocab_size, 60);
     expect_oracle_equivalent(index, oracle, queries, "cycle", true);

@@ -314,7 +314,8 @@ TEST(MemListCacheTest, EncodedSizeAccountingChangesEvictionCounts) {
   Bytes raw_total = 0;
   Bytes packed_total = 0;
   for (TermId t{}; t < TermId{cfg.vocab_size}; ++t) {
-    ASSERT_EQ(raw_index.doc_sorted(t).size(), packed_index.doc_sorted(t).size());
+    ASSERT_EQ(raw_index.block_postings(t).size(),
+              packed_index.block_postings(t).size());
     raw_total += raw_index.term_meta_fast(t).list_bytes;
     packed_total += packed_index.term_meta_fast(t).list_bytes;
     EXPECT_EQ(packed_index.term_meta_fast(t).list_bytes,
