@@ -1,20 +1,21 @@
 // Micro-benchmarks (google-benchmark): cache data-structure and workload
-// generation hot paths — LruMap churn, the memory caches, Zipf sampling
-// and query generation, and a full end-to-end query through the system.
+// generation hot paths — FlatLruMap churn, the memory caches, Zipf
+// sampling and query generation, and a full end-to-end query through the
+// system.
 #include <benchmark/benchmark.h>
 
 #include "src/cache/mem_list_cache.hpp"
 #include "src/cache/mem_result_cache.hpp"
 #include "src/hybrid/search_system.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/zipf.hpp"
 #include "src/workload/query_log.hpp"
 
 namespace ssdse {
 namespace {
 
-void BM_LruMapChurn(benchmark::State& state) {
-  LruMap<std::uint64_t, std::uint64_t> map;
+void BM_FlatLruMapChurn(benchmark::State& state) {
+  FlatLruMap<std::uint64_t, std::uint64_t> map;
   const std::uint64_t capacity = state.range(0);
   Rng rng(1);
   std::uint64_t key = 0;
@@ -29,7 +30,7 @@ void BM_LruMapChurn(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_LruMapChurn)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_FlatLruMapChurn)->Arg(1024)->Arg(65536);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(state.range(0), 0.9);

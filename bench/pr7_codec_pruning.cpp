@@ -12,8 +12,9 @@
 //    fingerprint (kPinnedFingerprint); and on Release builds at the
 //    full count the pruned q/s must beat the absolute throughput floor
 //    kBaselineQps. Pruned-vs-oracle q/s is reported, not gated;
-//  * lru_map     — LruMap vs FlatLruMap micro-bench on the MemListCache
-//    op mix; gate: eviction order must match exactly;
+//  * lru_map     — FlatLruMap vs the chained reference
+//    (tests/reference_lru.hpp) on the MemListCache op mix; gate:
+//    eviction order must match exactly;
 //  * a daat_skip trace span + daat.pruning.* registry counters give the
 //    pruning observability surfaces a live producer.
 //
@@ -29,9 +30,9 @@
 #include "src/telemetry/registry.hpp"
 #include "src/telemetry/tracer.hpp"
 #include "src/util/flat_lru_map.hpp"
-#include "src/util/lru_map.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/query_log.hpp"
+#include "tests/reference_lru.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
@@ -229,7 +230,7 @@ PruningResult run_pruning(const DaatWorkload& w,
 
 struct LruBenchResult {
   std::uint64_t ops = 0;
-  double chained_wall_ms = 0;  // LruMap (list + unordered_map)
+  double chained_wall_ms = 0;  // reference (list + unordered_map)
   double flat_wall_ms = 0;     // FlatLruMap (open addressing)
   double speedup = 0;
   bool order_match = false;
@@ -285,7 +286,7 @@ LruBenchResult run_lru_bench(std::uint64_t ops) {
   std::uint64_t fp_chained = 0;
   std::uint64_t fp_flat = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    const auto [cm, cf] = lru_run<LruMap<TermId, std::uint64_t>>(ops);
+    const auto [cm, cf] = lru_run<ReferenceLru<TermId, std::uint64_t>>(ops);
     const auto [fm, ff] = lru_run<FlatLruMap<TermId, std::uint64_t>>(ops);
     if (rep == 0 || cm < r.chained_wall_ms) r.chained_wall_ms = cm;
     if (rep == 0 || fm < r.flat_wall_ms) r.flat_wall_ms = fm;

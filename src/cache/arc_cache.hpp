@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -120,8 +120,8 @@ class ArcCache {
 
   std::size_t capacity_;
   std::size_t p_ = 0;  // target size of T1
-  LruMap<K, bool> t1_, t2_;  // resident: recency / frequency
-  LruMap<K, bool> b1_, b2_;  // ghosts (keys only)
+  FlatLruMap<K, bool> t1_, t2_;  // resident: recency / frequency
+  FlatLruMap<K, bool> b1_, b2_;  // ghosts (keys only)
   ArcStats stats_;
 };
 

@@ -217,9 +217,10 @@ class CacheManager {
   void route_list_evictions(std::vector<EvictedList> evicted);
   void flush_group(std::vector<CachedResult> group);
   /// Promote a result into L1 and return a pointer good for serving the
-  /// current query: the L1 copy when admitted (stable — the eviction
-  /// cascade never touches other L1 entries), else a scratch copy taken
-  /// before the cascade consumes the bounced entry (degenerate L1).
+  /// current query: the L1 copy when admitted (valid until the next
+  /// insert or erase on the L1 cache; the eviction cascade that follows
+  /// never touches L1), else a scratch copy taken before the cascade
+  /// consumes the bounced entry (degenerate L1).
   const ResultEntry* promote_result(ResultEntry entry, std::uint64_t freq,
                                     std::uint64_t born);
 

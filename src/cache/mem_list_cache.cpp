@@ -29,8 +29,7 @@ bool MemListCache::evict_one(std::vector<EvictedList>& out) {
   }
   // CBLRU/CBSLRU: minimum EV inside the Replace-First Region (the last
   // `window_` entries of the LRU list), Fig. 12. Strict `<` keeps the
-  // entry closest to the LRU end on EV ties — the same victim the
-  // iterator-based scan picked, so eviction order is unchanged.
+  // entry closest to the LRU end on EV ties.
   auto best = map_.lru_handle();
   std::uint32_t scanned = 0;
   for (auto h = map_.lru_handle();

@@ -61,10 +61,8 @@ class MemListCache {
   CachePolicy policy_;
   std::uint32_t window_;
   Bytes used_ = 0;
-  // Open-addressing backing store (DESIGN.md §13): recency semantics —
-  // and therefore eviction order and fingerprints — identical to the
-  // LruMap it replaced; probes are one flat-array walk instead of
-  // unordered_map bucket chains plus list-node hops.
+  // Open-addressing backing store (DESIGN.md §13), the same recency
+  // container as every other cache: probes are one flat-array walk.
   FlatLruMap<TermId, CachedList> map_;
 };
 

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -40,7 +40,7 @@ class SieveFilter {
  private:
   std::uint32_t threshold_;
   std::size_t capacity_;
-  LruMap<std::uint64_t, std::uint32_t> ghost_;
+  FlatLruMap<std::uint64_t, std::uint32_t> ghost_;
   SieveStats stats_;
 };
 

@@ -121,17 +121,21 @@ bool SsdListCache::acquire_blocks(std::uint32_t needed,
   };
   if (shortfall() == 0) return true;
 
+  // Passes 1-3 walk the window read-only and evict their picks by key
+  // afterwards (eviction invalidates handles).
+  constexpr auto kEnd = decltype(map_)::npos;
   // Pass 1 (Fig. 13 write "1"): replaceable entries inside the
   // Replace-First Region, LRU end first.
   std::vector<TermId> picks;
   std::uint32_t gathered = 0;
   std::uint32_t scanned = 0;
-  for (auto it = map_.rbegin();
-       it != map_.rend() && scanned < window_ && gathered < shortfall();
-       ++it, ++scanned) {
-    if (it->second.replaceable) {
-      picks.push_back(it->first);
-      gathered += static_cast<std::uint32_t>(it->second.blocks.size());
+  for (auto h = map_.lru_handle();
+       h != kEnd && scanned < window_ && gathered < shortfall();
+       h = map_.more_recent(h), ++scanned) {
+    const SsdListEntry& e = map_.value_at(h);
+    if (e.replaceable) {
+      picks.push_back(map_.key_at(h));
+      gathered += static_cast<std::uint32_t>(e.blocks.size());
     }
   }
   for (TermId t : picks) evict_entry(t, out);
@@ -139,11 +143,11 @@ bool SsdListCache::acquire_blocks(std::uint32_t needed,
 
   // Pass 2 (write "2"): an exact-size entry in the window.
   scanned = 0;
-  for (auto it = map_.rbegin(); it != map_.rend() && scanned < window_;
-       ++it, ++scanned) {
-    if (static_cast<std::uint32_t>(it->second.blocks.size()) ==
+  for (auto h = map_.lru_handle(); h != kEnd && scanned < window_;
+       h = map_.more_recent(h), ++scanned) {
+    if (static_cast<std::uint32_t>(map_.value_at(h).blocks.size()) ==
         shortfall()) {
-      const TermId t = it->first;
+      const TermId t = map_.key_at(h);
       evict_entry(t, out);
       return true;
     }
@@ -153,18 +157,18 @@ bool SsdListCache::acquire_blocks(std::uint32_t needed,
   picks.clear();
   gathered = 0;
   scanned = 0;
-  for (auto it = map_.rbegin();
-       it != map_.rend() && scanned < window_ && gathered < shortfall();
-       ++it, ++scanned) {
-    picks.push_back(it->first);
-    gathered += static_cast<std::uint32_t>(it->second.blocks.size());
+  for (auto h = map_.lru_handle();
+       h != kEnd && scanned < window_ && gathered < shortfall();
+       h = map_.more_recent(h), ++scanned) {
+    picks.push_back(map_.key_at(h));
+    gathered += static_cast<std::uint32_t>(map_.value_at(h).blocks.size());
   }
   for (TermId t : picks) evict_entry(t, out);
   if (shortfall() == 0) return true;
 
   // Pass 4 (write "4", worst case): the whole LRU list.
   while (shortfall() > 0 && !map_.empty()) {
-    const TermId t = map_.lru()->first;
+    const TermId t = map_.key_at(map_.lru_handle());
     evict_entry(t, out);
   }
   (void)time;
@@ -279,9 +283,13 @@ Micros SsdListCache::insert(TermId term, Bytes bytes, std::uint64_t freq,
 void SsdListCache::export_image(
     std::vector<ListEntryImage>& out,
     std::vector<ListEntryImage>& static_out) const {
-  for (const auto& [term, e] : map_) {  // MRU-first
-    out.push_back(ListEntryImage{term, e.blocks, e.cached_bytes, e.freq,
-                                 e.sc_blocks, e.born, e.replaceable});
+  // MRU-first: CBLRU victim choice depends on this order (DESIGN.md §7).
+  for (auto h = map_.mru_handle(); h != decltype(map_)::npos;
+       h = map_.less_recent(h)) {
+    const SsdListEntry& e = map_.value_at(h);
+    out.push_back(ListEntryImage{map_.key_at(h), e.blocks, e.cached_bytes,
+                                 e.freq, e.sc_blocks, e.born,
+                                 e.replaceable});
   }
   for (const auto& [term, e] : static_map_) {
     static_out.push_back(ListEntryImage{term, e.blocks, e.cached_bytes,
@@ -316,7 +324,7 @@ Micros SsdListCache::restore_image(
     }
     static_map_.emplace(image.term, rebuild(image));
   }
-  // Insert LRU-first so the final LruMap order matches the image's
+  // Insert LRU-first so the final recency order matches the image's
   // MRU-first order.
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     for (std::uint32_t cb : it->blocks) {

@@ -21,7 +21,7 @@
 #include "src/cache/cache_image.hpp"
 #include "src/cache/policy.hpp"
 #include "src/cache/ssd_cache_file.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -60,7 +60,8 @@ class SsdListCache {
   /// Returns nullptr on miss. `io_status` (optional) receives the flash
   /// read's status: on kUncorrectable the entry is dropped internally
   /// (blocks TRIMmed, time charged) and nullptr is returned — the miss
-  /// path with the failed read's latency added.
+  /// path with the failed read's latency added. A hit's pointer is valid
+  /// until the next insert or erase on this cache.
   const SsdListEntry* lookup(TermId term, Bytes needed_bytes, Micros& time,
                              IoStatus* io_status = nullptr);
 
@@ -127,7 +128,7 @@ class SsdListCache {
   SsdCacheFile& file_;
   std::uint32_t window_;
   CacheJournalSink* journal_ = nullptr;
-  LruMap<TermId, SsdListEntry> map_;
+  FlatLruMap<TermId, SsdListEntry> map_;
   std::unordered_map<TermId, SsdListEntry> static_map_;
   SsdListCacheStats stats_;
 };

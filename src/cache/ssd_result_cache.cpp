@@ -144,17 +144,18 @@ std::optional<std::uint32_t> SsdResultCache::acquire_block() {
   if (rbs_.empty()) return std::nullopt;
   // Fig. 11: scan the Replace-First Region (last W RBs of the LRU list)
   // for the block with the largest IREN; ties resolved toward LRU end.
-  auto best = rbs_.rbegin();
-  std::uint32_t best_iren = best->second.iren;
+  auto best = rbs_.lru_handle();
+  std::uint32_t best_iren = rbs_.value_at(best).iren;
   std::uint32_t scanned = 0;
-  for (auto it = rbs_.rbegin(); it != rbs_.rend() && scanned < window_;
-       ++it, ++scanned) {
-    if (it->second.iren > best_iren) {
-      best = it;
-      best_iren = it->second.iren;
+  for (auto h = rbs_.lru_handle();
+       h != decltype(rbs_)::npos && scanned < window_;
+       h = rbs_.more_recent(h), ++scanned) {
+    if (rbs_.value_at(h).iren > best_iren) {
+      best = h;
+      best_iren = rbs_.value_at(h).iren;
     }
   }
-  const std::uint32_t victim = best->first;
+  const std::uint32_t victim = rbs_.key_at(best);
   drop_rb(victim);
   return victim;
 }
@@ -215,11 +216,13 @@ Micros SsdResultCache::insert_rb(std::span<CachedResult> entries) {
 
 void SsdResultCache::export_image(std::vector<RbImage>& out,
                                   std::vector<RbImage>& static_out) const {
-  // Dynamic RBs, MRU-first — the LruMap order is the log order CBLRU
+  // Dynamic RBs, MRU-first — the recency order is the log order CBLRU
   // victimization depends on, so the snapshot preserves it exactly.
-  for (const auto& [cb, rb] : rbs_) {
+  for (auto h = rbs_.mru_handle(); h != decltype(rbs_)::npos;
+       h = rbs_.less_recent(h)) {
+    const RbInfo& rb = rbs_.value_at(h);
     RbImage image;
-    image.cb = cb;
+    image.cb = rbs_.key_at(h);
     image.slots.reserve(rb.entries.size());
     for (std::size_t s = 0; s < rb.entries.size(); ++s) {
       const CachedResult& e = rb.entries[s];
@@ -268,7 +271,7 @@ Micros SsdResultCache::restore_image(
     static_rbs_.push_back(std::move(rb));
     static_blocks_.push_back(image.cb);
   }
-  // Insert LRU-first so the final LruMap order matches the image's
+  // Insert LRU-first so the final recency order matches the image's
   // MRU-first order.
   for (auto it = rbs.rbegin(); it != rbs.rend(); ++it) {
     const RbImage& image = *it;

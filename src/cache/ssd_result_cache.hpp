@@ -23,6 +23,7 @@
 #include "src/cache/mem_result_cache.hpp"
 #include "src/cache/policy.hpp"
 #include "src/cache/ssd_cache_file.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -47,7 +48,8 @@ class SsdResultCache {
   /// receives the entry's freshness anchor for TTL checks. `io_status`
   /// (optional) receives the flash read's status: on kUncorrectable the
   /// entry is invalidated internally and nullptr is returned — exactly
-  /// the miss path, just with the failed read's latency in `time`.
+  /// the miss path, just with the failed read's latency in `time`. A
+  /// hit's pointer is valid until the next insert or erase on this cache.
   const ResultEntry* lookup(QueryId qid, std::uint64_t& freq_out,
                             Micros& time, std::uint64_t* born_out = nullptr,
                             IoStatus* io_status = nullptr);
@@ -120,7 +122,7 @@ class SsdResultCache {
   std::uint32_t window_;
   std::uint32_t slots_per_rb_;
   CacheJournalSink* journal_ = nullptr;
-  LruMap<std::uint32_t, RbInfo> rbs_;           // key: cache block id
+  FlatLruMap<std::uint32_t, RbInfo> rbs_;       // key: cache block id
   std::unordered_map<QueryId, Loc> map_;        // dynamic entries
   std::unordered_map<QueryId, Loc> static_map_; // pinned entries
   std::vector<RbInfo> static_rbs_;              // indexed by Loc.rb

@@ -13,7 +13,7 @@
 #include <unordered_set>
 
 #include "src/ftl/ftl.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 
 namespace ssdse {
 
@@ -67,7 +67,8 @@ class BplruFtl final : public Ftl {
 
   std::unique_ptr<Ftl> inner_;
   BplruConfig cfg_;
-  LruMap<std::uint64_t, BlockSet> buffer_;  // logical block -> dirty offsets
+  // Logical block -> dirty page offsets.
+  FlatLruMap<std::uint64_t, BlockSet> buffer_;
   BplruStats bstats_;
 };
 

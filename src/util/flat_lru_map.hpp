@@ -1,21 +1,27 @@
-// Open-addressing LRU map (DESIGN.md §13): the flat successor to
-// LruMap for hot per-query caches. One contiguous slot array doubles as
-// hash table (linear probing, power-of-two capacity, backward-shift
-// deletion, max load ~0.7) and node storage — the recency list is
-// intrusive, linking slot indices instead of heap-allocated list nodes.
-// A probe touches one cache line instead of chasing unordered_map
-// buckets plus std::list nodes; steady-state churn allocates nothing.
+// Open-addressing LRU map (DESIGN.md §13), the one recency container
+// behind every cache and FTL map in this project. One contiguous slot
+// array doubles as hash table (linear probing, power-of-two capacity,
+// backward-shift deletion, max load ~0.7) and node storage — the
+// recency list is intrusive, linking slot indices instead of
+// heap-allocated list nodes. A probe touches one cache line instead of
+// chasing hash buckets plus list nodes; steady-state churn allocates
+// nothing.
 //
-// Recency semantics are IDENTICAL to LruMap by construction — the order
-// is carried entirely by the intrusive list, which hash layout cannot
-// perturb — so swapping the backing container under MemListCache keeps
-// eviction order and every downstream fingerprint bit-identical (pinned
-// by tests/mem_cache_test.cpp and BENCH_PR7.json).
+// The cache policies in src/cache need more than "evict the LRU item":
+// CBLRU scans a *Replace-First Region* (a window at the LRU end) and
+// picks victims by cost inside it, and snapshots export the whole
+// recency order. Both are handle walks — lru_handle()/more_recent()
+// from the LRU end, mru_handle()/less_recent() from the MRU end. The
+// order is carried entirely by the intrusive list, which hash layout
+// cannot perturb, so eviction order matches the chained reference in
+// tests/reference_lru.hpp exactly (pinned by tests/mem_cache_test.cpp).
 //
-// Handles: a handle is the entry's slot index, valid until the next
-// insert or erase (erase relocates probe-chain neighbours; insert may
-// grow the table). The Replace-First-Region scan pattern — walk from the
-// LRU end read-only, then erase the chosen victim — fits this contract.
+// Handles and pointers: a handle is the entry's slot index, and a value
+// pointer returned by peek/touch/insert points into the slot array.
+// Both stay valid until the next insert or erase on the same map (erase
+// relocates probe-chain neighbours; insert may grow the table). The
+// Replace-First-Region pattern — walk read-only, then erase the chosen
+// victims — fits this contract.
 #pragma once
 
 #include <cassert>
@@ -95,13 +101,18 @@ class FlatLruMap {
     return e;
   }
 
-  // --- handle interface (Replace-First-Region scans) -------------------
-  // Walk from lru_handle() toward the MRU end via more_recent(); handles
-  // stay valid across reads, invalidated by insert/erase.
+  // --- handle interface (Replace-First-Region scans, snapshots) --------
+  // Walk from lru_handle() toward the MRU end via more_recent(), or from
+  // mru_handle() toward the LRU end via less_recent(); both walks end at
+  // npos. Handles stay valid across reads, invalidated by insert/erase.
 
   [[nodiscard]] std::uint32_t lru_handle() const { return tail_; }
   [[nodiscard]] std::uint32_t more_recent(std::uint32_t h) const {
     return slots_[h].prev;
+  }
+  [[nodiscard]] std::uint32_t mru_handle() const { return head_; }
+  [[nodiscard]] std::uint32_t less_recent(std::uint32_t h) const {
+    return slots_[h].next;
   }
   const K& key_at(std::uint32_t h) const { return slots_[h].key; }
   V& value_at(std::uint32_t h) { return slots_[h].value; }

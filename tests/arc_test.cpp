@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cache/arc_cache.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/zipf.hpp"
 
@@ -29,7 +30,7 @@ class LruRef {
 
  private:
   std::size_t capacity_;
-  LruMap<std::uint64_t, bool> map_;
+  FlatLruMap<std::uint64_t, bool> map_;
   std::uint64_t hits_ = 0, misses_ = 0;
 };
 

@@ -4,8 +4,8 @@
 #include "src/cache/mem_result_cache.hpp"
 #include "src/index/inverted_index.hpp"
 #include "src/util/flat_lru_map.hpp"
-#include "src/util/lru_map.hpp"
 #include "src/util/rng.hpp"
+#include "tests/reference_lru.hpp"
 
 namespace ssdse {
 namespace {
@@ -193,14 +193,15 @@ TEST(MemListCacheTest, MultipleEvictionsUntilFit) {
   EXPECT_TRUE(cache.contains(TermId{3}));
 }
 
-// --- FlatLruMap vs LruMap shadow equivalence ----------------------------
-// The open-addressing swap (DESIGN.md §13) is only legal because recency
-// semantics are identical. Drive both containers through the same
-// randomized op stream and demand identical observable behaviour at
-// every step, including full LRU-order drains at checkpoints.
+// --- FlatLruMap vs the chained reference --------------------------------
+// Every cache's eviction order rests on FlatLruMap's recency semantics
+// (DESIGN.md §13). Drive it and the obviously-correct chained reference
+// (tests/reference_lru.hpp) through the same randomized op stream and
+// demand identical observable behaviour at every step, including full
+// recency-order walks in both directions at checkpoints.
 
-TEST(FlatLruMapTest, ShadowsLruMapUnderRandomizedChurn) {
-  LruMap<TermId, std::uint64_t> ref;
+TEST(FlatLruMapTest, ShadowsReferenceUnderRandomizedChurn) {
+  ReferenceLru<TermId, std::uint64_t> ref;
   FlatLruMap<TermId, std::uint64_t> flat;
   Rng rng(4242);
   for (int step = 0; step < 20'000; ++step) {
@@ -244,23 +245,31 @@ TEST(FlatLruMapTest, ShadowsLruMapUnderRandomizedChurn) {
     ASSERT_EQ(ref.size(), flat.size()) << "step " << step;
     ASSERT_EQ(ref.contains(key), flat.contains(key)) << "step " << step;
     if (step % 4'000 == 3'999) {
-      // Checkpoint: the full LRU->MRU orders must match exactly.
+      // Checkpoint: the full LRU->MRU and MRU->LRU orders must match.
+      constexpr auto kEnd = FlatLruMap<TermId, std::uint64_t>::npos;
       auto h = flat.lru_handle();
       for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
-        ASSERT_NE(h, (FlatLruMap<TermId, std::uint64_t>::npos))
-            << "order walk at step " << step;
-        ASSERT_EQ(flat.key_at(h), it->first) << "order walk at step " << step;
+        ASSERT_NE(h, kEnd) << "LRU walk at step " << step;
+        ASSERT_EQ(flat.key_at(h), it->first) << "LRU walk at step " << step;
         ASSERT_EQ(flat.value_at(h), it->second)
-            << "order walk at step " << step;
+            << "LRU walk at step " << step;
         h = flat.more_recent(h);
       }
-      ASSERT_EQ(h, (FlatLruMap<TermId, std::uint64_t>::npos));
+      ASSERT_EQ(h, kEnd);
+      h = flat.mru_handle();
+      for (const auto& [key_ref, value_ref] : ref) {
+        ASSERT_NE(h, kEnd) << "MRU walk at step " << step;
+        ASSERT_EQ(flat.key_at(h), key_ref) << "MRU walk at step " << step;
+        ASSERT_EQ(flat.value_at(h), value_ref) << "MRU walk at step " << step;
+        h = flat.less_recent(h);
+      }
+      ASSERT_EQ(h, kEnd);
     }
   }
 }
 
-TEST(FlatLruMapTest, HandleScanMatchesReverseIteration) {
-  LruMap<TermId, int> ref;
+TEST(FlatLruMapTest, HandleWalksMatchReferenceOrder) {
+  ReferenceLru<TermId, int> ref;
   FlatLruMap<TermId, int> flat;
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
@@ -274,13 +283,21 @@ TEST(FlatLruMapTest, HandleScanMatchesReverseIteration) {
       flat.touch(t);
     }
   }
-  // Walk LRU -> MRU through both interfaces.
+  // Walk LRU -> MRU, then MRU -> LRU, through both interfaces.
   auto h = flat.lru_handle();
   for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
     ASSERT_NE(h, (FlatLruMap<TermId, int>::npos));
     EXPECT_EQ(flat.key_at(h), it->first);
     EXPECT_EQ(flat.value_at(h), it->second);
     h = flat.more_recent(h);
+  }
+  EXPECT_EQ(h, (FlatLruMap<TermId, int>::npos));
+  h = flat.mru_handle();
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(h, (FlatLruMap<TermId, int>::npos));
+    EXPECT_EQ(flat.key_at(h), key);
+    EXPECT_EQ(flat.value_at(h), value);
+    h = flat.less_recent(h);
   }
   EXPECT_EQ(h, (FlatLruMap<TermId, int>::npos));
 }

@@ -1,12 +1,17 @@
 // Cross-cutting edge-case tests: metrics coverage accounting, SSD wear
 // fractions, container corners.
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/hybrid/metrics.hpp"
 #include "src/index/posting.hpp"
 #include "src/ssd/ssd.hpp"
 #include "src/util/bitmap.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
 
 namespace ssdse {
@@ -63,31 +68,67 @@ TEST(SsdWearTest, WearFractionsTrackErases) {
               ssd.wear_fraction(10'000), 1e-12);
 }
 
-// --- LruMap iterator erase ------------------------------------------------
+// --- FlatLruMap handle erase ----------------------------------------------
 
-TEST(LruMapEdgeTest, EraseByIteratorKeepsIndexConsistent) {
-  LruMap<int, int> m;
-  for (int i = 0; i < 5; ++i) m.insert(i, i * 10);
-  // Erase the middle entry via iterator.
-  auto it = m.begin();
-  ++it;
-  ++it;
-  it = m.erase(it);
-  EXPECT_EQ(m.size(), 4u);
-  // The erased key is gone; the rest survive and stay ordered.
-  int found = 0;
-  for (const auto& [k, v] : m) found += k;
-  EXPECT_EQ(found, 0 + 1 + 3 + 4);
-  EXPECT_EQ(m.peek(2), nullptr);
-  EXPECT_NE(m.peek(3), nullptr);
+using IntLru = FlatLruMap<int, int>;
+
+/// (key, handle) pairs in LRU -> MRU order.
+std::vector<std::pair<int, std::uint32_t>> lru_walk(const IntLru& m) {
+  std::vector<std::pair<int, std::uint32_t>> out;
+  for (auto h = m.lru_handle(); h != IntLru::npos; h = m.more_recent(h)) {
+    out.emplace_back(m.key_at(h), h);
+  }
+  return out;
 }
 
-TEST(LruMapEdgeTest, ClearEmptiesEverything) {
-  LruMap<int, int> m;
+TEST(FlatLruMapEdgeTest, EraseHandleRelocationKeepsOrderAndIndex) {
+  // 11 keys in the 16-slot table (just under the 0.7 load cap) leave
+  // probe chains, so backward-shift deletion of some entry must move a
+  // neighbour into the hole, patching its recency links. Try every
+  // middle entry on a copy; each must leave order and index intact, and
+  // at least one must actually relocate a neighbour.
+  IntLru m;
+  for (int i = 0; i < 11; ++i) m.insert(i, i * 10);
+  const auto before = lru_walk(m);
+  ASSERT_EQ(before.size(), 11u);
+  bool relocated = false;
+  for (std::size_t pos = 1; pos + 1 < before.size(); ++pos) {
+    IntLru c = m;
+    const int victim = before[pos].first;
+    EXPECT_EQ(c.erase_handle(before[pos].second), victim * 10);
+    EXPECT_EQ(c.size(), 10u);
+    EXPECT_EQ(c.peek(victim), nullptr);
+    auto expected = before;
+    expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(pos));
+    const auto after = lru_walk(c);
+    ASSERT_EQ(after.size(), expected.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].first, expected[i].first) << "victim " << victim;
+      if (after[i].second != expected[i].second) relocated = true;
+      const int* v = c.peek(after[i].first);
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(*v, after[i].first * 10);
+    }
+    // The MRU-first walk is the exact reverse.
+    std::vector<int> mru_first;
+    for (auto h = c.mru_handle(); h != IntLru::npos; h = c.less_recent(h)) {
+      mru_first.push_back(c.key_at(h));
+    }
+    ASSERT_EQ(mru_first.size(), after.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(mru_first[i], after[after.size() - 1 - i].first);
+    }
+  }
+  EXPECT_TRUE(relocated) << "no erase exercised a probe-chain relocation";
+}
+
+TEST(FlatLruMapEdgeTest, ClearEmptiesEverything) {
+  IntLru m;
   m.insert(1, 1);
   m.clear();
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.touch(1), nullptr);
+  EXPECT_EQ(m.lru_handle(), IntLru::npos);
 }
 
 // --- Bitmap resize -----------------------------------------------------------

@@ -1,3 +1,6 @@
+#include <cstddef>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/cache/ssd_list_cache.hpp"
@@ -116,6 +119,61 @@ TEST_F(SsdListCacheTest, WorstCaseWholeListScan) {
   (void)cache_.insert(TermId{6}, 8 * kBlk, 1);
   EXPECT_TRUE(cache_.contains(TermId{6}));
   EXPECT_FALSE(cache_.contains(TermId{5}));  // working-region entry sacrificed
+}
+
+void expect_same_lists(const std::vector<ListEntryImage>& a,
+                       const std::vector<ListEntryImage>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].term, b[i].term) << "position " << i;
+    EXPECT_EQ(a[i].blocks, b[i].blocks) << "position " << i;
+    EXPECT_EQ(a[i].cached_bytes, b[i].cached_bytes) << "position " << i;
+    EXPECT_EQ(a[i].freq, b[i].freq) << "position " << i;
+    EXPECT_EQ(a[i].sc_blocks, b[i].sc_blocks) << "position " << i;
+    EXPECT_EQ(a[i].born, b[i].born) << "position " << i;
+    EXPECT_EQ(a[i].replaceable, b[i].replaceable) << "position " << i;
+  }
+}
+
+TEST_F(SsdListCacheTest, SnapshotPreservesRecencyOrder) {
+  // Fill the 10-block region with 5 two-block entries, then promote 2
+  // and 3 through the cancellation path (insert of a covered prefix
+  // touches the entry without rewriting it). Recency, MRU first:
+  // 3 2 5 4 1.
+  for (TermId term = TermId{1}; term <= TermId{5}; ++term) {
+    (void)cache_.insert(term, 2 * kBlk, /*freq=*/term.raw(),
+                        /*born=*/10 + term.raw());
+  }
+  (void)cache_.insert(TermId{2}, 2 * kBlk, 1);
+  (void)cache_.insert(TermId{3}, 2 * kBlk, 1);
+  std::vector<ListEntryImage> image, static_image;
+  cache_.export_image(image, static_image);
+  std::vector<TermId> order;
+  for (const ListEntryImage& e : image) order.push_back(e.term);
+  EXPECT_EQ(order, (std::vector<TermId>{TermId{3}, TermId{2}, TermId{5},
+                                         TermId{4}, TermId{1}}));
+  EXPECT_TRUE(static_image.empty());
+
+  // A cache restored from that image re-exports it unchanged...
+  Ssd ssd2(small_ssd());
+  SsdCacheFile file2(ssd2, 0, 10);
+  SsdListCache restored(file2, /*W=*/3);
+  (void)restored.restore_image(image, static_image);
+  std::vector<ListEntryImage> again, static_again;
+  restored.export_image(again, static_again);
+  expect_same_lists(image, again);
+
+  // ...and picks the same next victim: the exact-size pass takes the
+  // LRU end (term 1), which a reversed order would have kept.
+  (void)cache_.insert(TermId{6}, 2 * kBlk, 1);
+  (void)restored.insert(TermId{6}, 2 * kBlk, 1);
+  EXPECT_FALSE(cache_.contains(TermId{1}));
+  EXPECT_FALSE(restored.contains(TermId{1}));
+  EXPECT_TRUE(restored.contains(TermId{3}));
+  std::vector<ListEntryImage> after, after_restored, unused;
+  cache_.export_image(after, unused);
+  restored.export_image(after_restored, unused);
+  expect_same_lists(after, after_restored);
 }
 
 TEST_F(SsdListCacheTest, TooLargeRejected) {

@@ -1,3 +1,4 @@
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,37 @@ TEST_F(SsdResultCacheTest, VictimIsMaxIrenInWindow) {
   EXPECT_NE(survivor, nullptr);  // oldest RB survived (lower IREN)
   EXPECT_EQ(cache2.lookup(QueryId{8}, freq, t), nullptr);  // dropped with its RB
   EXPECT_GT(cache2.stats().entries_dropped_by_overwrite, 0u);
+
+  // Window edge: an RB just outside W with a higher IREN must survive.
+  SsdCacheFile file3(ssd_, 12 * 64, 4);
+  SsdResultCache cache3(file3, /*W=*/2);
+  for (QueryId base{}; base < QueryId{24}; base = base + 6) {
+    auto g5 = group(base, 6);
+    (void)cache3.insert_rb(g5);
+  }
+  cache3.lookup(QueryId{6}, freq, t);   // second-oldest (in W): IREN 1
+  cache3.lookup(QueryId{12}, freq, t);  // third-oldest (outside W): IREN 3
+  cache3.lookup(QueryId{13}, freq, t);
+  cache3.lookup(QueryId{14}, freq, t);
+  auto g6 = group(QueryId{300}, 6);
+  (void)cache3.insert_rb(g6);
+  EXPECT_FALSE(cache3.contains(QueryId{6}));  // max IREN inside W
+  EXPECT_TRUE(cache3.contains(QueryId{15}));  // higher IREN, outside W
+  EXPECT_TRUE(cache3.contains(QueryId{0}));
+
+  // IREN tie inside W: the RB nearest the LRU end goes.
+  SsdCacheFile file4(ssd_, 16 * 64, 4);
+  SsdResultCache cache4(file4, /*W=*/2);
+  for (QueryId base{}; base < QueryId{24}; base = base + 6) {
+    auto g7 = group(base, 6);
+    (void)cache4.insert_rb(g7);
+  }
+  cache4.lookup(QueryId{0}, freq, t);  // oldest: IREN 1
+  cache4.lookup(QueryId{6}, freq, t);  // second-oldest: IREN 1
+  auto g8 = group(QueryId{400}, 6);
+  (void)cache4.insert_rb(g8);
+  EXPECT_FALSE(cache4.contains(QueryId{3}));
+  EXPECT_TRUE(cache4.contains(QueryId{9}));
 }
 
 TEST_F(SsdResultCacheTest, RewriteInvalidatesOldSlot) {
@@ -164,6 +196,69 @@ TEST_F(SsdResultCacheTest, StaticSurvivesDynamicChurn) {
   std::uint64_t freq;
   Micros t = micros(0);
   EXPECT_NE(cache_.lookup(QueryId{503}, freq, t), nullptr);
+}
+
+void expect_same_rbs(const std::vector<RbImage>& a,
+                     const std::vector<RbImage>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cb, b[i].cb) << "position " << i;
+    ASSERT_EQ(a[i].slots.size(), b[i].slots.size()) << "position " << i;
+    for (std::size_t s = 0; s < a[i].slots.size(); ++s) {
+      const RbSlotImage& x = a[i].slots[s];
+      const RbSlotImage& y = b[i].slots[s];
+      EXPECT_EQ(x.qid, y.qid) << "position " << i << " slot " << s;
+      EXPECT_EQ(x.freq, y.freq) << "position " << i << " slot " << s;
+      EXPECT_EQ(x.born, y.born) << "position " << i << " slot " << s;
+      EXPECT_EQ(x.state, y.state) << "position " << i << " slot " << s;
+      EXPECT_EQ(x.docs, y.docs) << "position " << i << " slot " << s;
+    }
+  }
+}
+
+TEST_F(SsdResultCacheTest, SnapshotPreservesRecencyOrder) {
+  // Fill the 8 RBs, then one more: the LRU RB (queries 0..5) is
+  // overwritten and its block comes back as the MRU. An invalidated
+  // slot outside the window gives one RB a durable IREN.
+  for (QueryId base{}; base < QueryId{48}; base = base + 6) {
+    auto g = group(base, 6);
+    (void)cache_.insert_rb(g);
+  }
+  auto g2 = group(QueryId{100}, 6);
+  (void)cache_.insert_rb(g2);
+  EXPECT_TRUE(cache_.invalidate(QueryId{31}));
+  std::vector<RbImage> image, static_image;
+  cache_.export_image(image, static_image);
+  std::vector<QueryId> order;
+  for (const RbImage& rb : image) order.push_back(rb.slots.front().qid);
+  EXPECT_EQ(order, (std::vector<QueryId>{QueryId{100}, QueryId{42},
+                                          QueryId{36}, QueryId{30},
+                                          QueryId{24}, QueryId{18},
+                                          QueryId{12}, QueryId{6}}));
+  EXPECT_TRUE(static_image.empty());
+
+  // A cache restored from that image re-exports it unchanged...
+  Ssd ssd2(small_ssd());
+  SsdCacheFile file2(ssd2, 0, 8);
+  SsdResultCache restored(file2, /*W=*/2);
+  (void)restored.restore_image(image, static_image);
+  std::vector<RbImage> again, static_again;
+  restored.export_image(again, static_again);
+  expect_same_rbs(image, again);
+
+  // ...and picks the same next victim: the IREN tie in W goes to the
+  // LRU end (queries 6..11), which a reversed order would have kept.
+  auto g3 = group(QueryId{200}, 6);
+  (void)cache_.insert_rb(g3);
+  auto g4 = group(QueryId{200}, 6);
+  (void)restored.insert_rb(g4);
+  EXPECT_FALSE(cache_.contains(QueryId{6}));
+  EXPECT_FALSE(restored.contains(QueryId{6}));
+  EXPECT_TRUE(restored.contains(QueryId{100}));
+  std::vector<RbImage> after, after_restored, unused;
+  cache_.export_image(after, unused);
+  restored.export_image(after_restored, unused);
+  expect_same_rbs(after, after_restored);
 }
 
 TEST_F(SsdResultCacheTest, StatsCountWrites) {

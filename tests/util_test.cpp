@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/bitmap.hpp"
-#include "src/util/lru_map.hpp"
+#include "src/util/flat_lru_map.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/table.hpp"
@@ -455,42 +455,45 @@ TEST(BitmapTest, AssignDispatches) {
   EXPECT_FALSE(b.test(2));
 }
 
-// --- LruMap --------------------------------------------------------------
+// --- FlatLruMap ----------------------------------------------------------
 
-TEST(LruMapTest, InsertTouchEvictOrder) {
-  LruMap<int, int> m;
+using IntLru = FlatLruMap<int, int>;
+
+TEST(FlatLruMapTest, InsertTouchEvictOrder) {
+  IntLru m;
   m.insert(1, 10);
   m.insert(2, 20);
   m.insert(3, 30);
-  EXPECT_EQ(m.lru()->first, 1);
+  EXPECT_EQ(m.key_at(m.lru_handle()), 1);
   EXPECT_NE(m.touch(1), nullptr);  // 1 becomes MRU
-  EXPECT_EQ(m.lru()->first, 2);
+  EXPECT_EQ(m.key_at(m.lru_handle()), 2);
+  EXPECT_EQ(m.key_at(m.mru_handle()), 1);
   auto victim = m.pop_lru();
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->first, 2);
   EXPECT_EQ(m.size(), 2u);
 }
 
-TEST(LruMapTest, PeekDoesNotPromote) {
-  LruMap<int, int> m;
+TEST(FlatLruMapTest, PeekDoesNotPromote) {
+  IntLru m;
   m.insert(1, 10);
   m.insert(2, 20);
   EXPECT_NE(m.peek(1), nullptr);
-  EXPECT_EQ(m.lru()->first, 1);  // still LRU
+  EXPECT_EQ(m.key_at(m.lru_handle()), 1);  // still LRU
 }
 
-TEST(LruMapTest, InsertExistingPromotesAndOverwrites) {
-  LruMap<int, int> m;
+TEST(FlatLruMapTest, InsertExistingPromotesAndOverwrites) {
+  IntLru m;
   m.insert(1, 10);
   m.insert(2, 20);
   m.insert(1, 11);
   EXPECT_EQ(*m.peek(1), 11);
-  EXPECT_EQ(m.lru()->first, 2);
+  EXPECT_EQ(m.key_at(m.lru_handle()), 2);
   EXPECT_EQ(m.size(), 2u);
 }
 
-TEST(LruMapTest, EraseByKey) {
-  LruMap<int, int> m;
+TEST(FlatLruMapTest, EraseByKey) {
+  IntLru m;
   m.insert(1, 10);
   auto v = m.erase(1);
   ASSERT_TRUE(v.has_value());
@@ -499,20 +502,29 @@ TEST(LruMapTest, EraseByKey) {
   EXPECT_TRUE(m.empty());
 }
 
-TEST(LruMapTest, ReverseIterationIsLruFirst) {
-  LruMap<int, int> m;
+TEST(FlatLruMapTest, HandleWalksCoverBothDirections) {
+  IntLru m;
   for (int i = 0; i < 5; ++i) m.insert(i, i);
-  std::vector<int> order;
-  for (auto it = m.rbegin(); it != m.rend(); ++it) order.push_back(it->first);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  m.touch(1);  // recency, LRU -> MRU: 0 2 3 4 1
+  std::vector<int> lru_first;
+  for (auto h = m.lru_handle(); h != IntLru::npos; h = m.more_recent(h)) {
+    lru_first.push_back(m.key_at(h));
+  }
+  EXPECT_EQ(lru_first, (std::vector<int>{0, 2, 3, 4, 1}));
+  std::vector<int> mru_first;
+  for (auto h = m.mru_handle(); h != IntLru::npos; h = m.less_recent(h)) {
+    mru_first.push_back(m.key_at(h));
+  }
+  EXPECT_EQ(mru_first, (std::vector<int>{1, 4, 3, 2, 0}));
 }
 
-TEST(LruMapTest, MissingKeyBehaviour) {
-  LruMap<int, int> m;
+TEST(FlatLruMapTest, MissingKeyBehaviour) {
+  IntLru m;
   EXPECT_EQ(m.touch(42), nullptr);
   EXPECT_EQ(m.peek(42), nullptr);
   EXPECT_FALSE(m.pop_lru().has_value());
-  EXPECT_EQ(m.lru(), nullptr);
+  EXPECT_EQ(m.lru_handle(), IntLru::npos);
+  EXPECT_EQ(m.mru_handle(), IntLru::npos);
 }
 
 // --- Table ---------------------------------------------------------------
