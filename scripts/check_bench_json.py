@@ -2,8 +2,9 @@
 """Validate machine-readable run artifacts.
 
 Usage: check_bench_json.py <file.json> [more.json ...]
+       check_bench_json.py --self-test
 
-Four document shapes are recognized:
+Seven document shapes are recognized:
   * perf_driver bench files ("bench": "perf_driver") — phase timings,
     fingerprints and the zero-overhead trace guard;
   * fault-injection bench files ("bench": "ext_faults") — DESIGN.md §10:
@@ -15,6 +16,9 @@ Four document shapes are recognized:
     gates (an idle live system fingerprints identically to a frozen
     one; churned results match a rebuild-from-scratch oracle both
     mid-segment and post-merge);
+  * compression + pruning bench files ("bench": "pr7_codec_pruning") —
+    DESIGN.md §13: compression ratio, block-max results identical to
+    the exhaustive oracle, and the FlatLruMap eviction-order check;
   * open-loop traffic bench files ("bench": "ext_traffic") — DESIGN.md
     §14: calibration, the offered-load sweep cells with SLO verdicts and
     tail attribution, plus the determinism and zero-traffic gates;
@@ -24,19 +28,27 @@ Four document shapes are recognized:
     the monotone capped backoff schedule, and the three tail-tolerance
     gates (hedging cuts p99, retries restore coverage, failover keeps
     the SLO);
-  * telemetry run reports ("report": "telemetry") — DESIGN.md §9: the
-    registry dump, per-stage trace quantiles, situation census, per-tier
-    cache accounting, flash counters, the fault/breaker section, the
-    ingest/coherence section when the live index is enabled, the
-    traffic/windows/slo/attribution sections when the run was driven by
-    the open-loop harness, and the replication section on cluster runs.
+  * telemetry run reports ("report": "telemetry", schema_version 2) —
+    DESIGN.md §9: the metrics registry dump, which is the report's only
+    copy of the simulator's metrics, plus the traffic/windows/slo/
+    attribution sections when the run was driven by the open-loop
+    harness and the replication section on cluster runs. The registry
+    dump gets one generic shape check (counters are non-negative
+    integers, gauges have min <= mean <= max, histogram quantiles are
+    ordered) and a short list of invariant hooks over metric names
+    (REPORT_INVARIANTS).
 
 Exits non-zero (with a message) on any missing key, wrong type, or
-implausible value — CI runs this after the perf_driver smoke so a
-silently malformed artifact fails the build. Internal consistency is
-checked too (per-tier hits + misses == probes, situation counts sum to
-the query count, quantiles ordered), not just key presence.
+implausible value — CI runs this after the bench smokes so a silently
+malformed artifact fails the build. Internal consistency is checked
+too (hits <= probes with hit ratios re-derived, the situation census
+sums to the query count, quantiles ordered), not just key presence.
+--self-test corrupts a well-formed run report one invariant at a time
+and asserts that every corruption is rejected.
 """
+import contextlib
+import copy
+import io
 import json
 import sys
 
@@ -55,9 +67,12 @@ ATTR_STAGES = TRACE_STAGES | {"queue_wait", "other"}
 SLO_STATES = {"ok", "warn", "breach"}
 
 
+class CheckError(Exception):
+    """An artifact violated the schema or one of its invariants."""
+
+
 def fail(msg):
-    print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise CheckError(msg)
 
 
 def require(cond, msg):
@@ -91,24 +106,6 @@ def check_quantiles(obj, ctx):
     require(obj["p50_us"] <= obj["p90_us"] <= obj["p99_us"],
             f"{ctx}: quantiles must be ordered p50 <= p90 <= p99 "
             f"({obj['p50_us']}, {obj['p90_us']}, {obj['p99_us']})")
-
-
-def check_tier(tier, ctx):
-    require(isinstance(tier, dict), f"{ctx}: must be an object")
-    for key in ("probes", "l1_hits", "l2_hits", "misses"):
-        require(isinstance(tier.get(key), int) and tier[key] >= 0,
-                f"{ctx}: '{key}' must be a non-negative integer")
-    require(tier["l1_hits"] + tier["l2_hits"] + tier["misses"]
-            == tier["probes"],
-            f"{ctx}: l1_hits + l2_hits + misses must equal probes")
-    ratio = tier.get("hit_ratio")
-    require(is_num(ratio) and 0.0 <= ratio <= 1.0,
-            f"{ctx}: 'hit_ratio' must be in [0, 1]")
-    if tier["probes"]:
-        derived = (tier["l1_hits"] + tier["l2_hits"]) / tier["probes"]
-        require(abs(derived - ratio) <= 1e-6,
-                f"{ctx}: hit_ratio {ratio} inconsistent with counts "
-                f"({derived:.6f})")
 
 
 def check_trace_guard(guard):
@@ -170,38 +167,6 @@ def check_breaker(br, ctx):
     if br["trips"] == 0:
         require(br["closes"] == 0 and br["reopens"] == 0,
                 f"{ctx}: closes/reopens without any trip")
-
-
-def check_faults(faults, ctx="faults"):
-    require(isinstance(faults, dict), f"'{ctx}' must be an object")
-    for key in ("ssd_read_errors", "hdd_read_errors"):
-        require(isinstance(faults.get(key), int) and faults[key] >= 0,
-                f"{ctx}: '{key}' must be a non-negative integer")
-    check_breaker(faults.get("breaker"), f"{ctx}.breaker")
-    for key in ("bypassed_probes", "bypassed_inserts"):
-        require(isinstance(faults["breaker"].get(key), int)
-                and faults["breaker"][key] >= 0,
-                f"{ctx}.breaker: '{key}' must be a non-negative integer")
-    if "flash" in faults:
-        fl = faults["flash"]
-        for key in ("read_retries", "uncorrectable_reads",
-                    "program_failures", "remapped_writes",
-                    "grown_bad_blocks"):
-            require(isinstance(fl.get(key), int) and fl[key] >= 0,
-                    f"{ctx}.flash: '{key}' must be a non-negative integer")
-        # BBM invariant: every injected program failure is salvaged by
-        # exactly one remap and retires exactly one block.
-        require(fl["program_failures"] == fl["remapped_writes"]
-                == fl["grown_bad_blocks"],
-                f"{ctx}.flash: program_failures ({fl['program_failures']}) "
-                f"!= remapped_writes ({fl['remapped_writes']}) or "
-                f"grown_bad_blocks ({fl['grown_bad_blocks']})")
-    if "hdd" in faults:
-        for key in ("read_uncs", "read_retries", "write_fails",
-                    "latency_spikes"):
-            require(isinstance(faults["hdd"].get(key), int)
-                    and faults["hdd"][key] >= 0,
-                    f"{ctx}.hdd: '{key}' must be a non-negative integer")
 
 
 def check_ext_faults(doc, path):
@@ -1024,114 +989,251 @@ def check_ext_replica(doc, path):
           f"capacity {cal['capacity_qps']:.0f} q/s, all gates pass)")
 
 
+# --- telemetry run reports (schema v2) -------------------------------------
+#
+# The report's "metrics" object is a registry dump keyed by metric name:
+# counters render as integers, gauges as {mean, min, max, samples},
+# histograms as {count, mean, p50, p90, p99}. It is checked in two
+# parts: one generic shape check over every entry, then the invariant
+# hooks below, each a small function over metric names.
+
+GAUGE_KEYS = {"mean", "min", "max", "samples"}
+HIST_KEYS = {"count", "mean", "p50", "p90", "p99"}
+SITUATIONS = [f"query.situation.s{i}" for i in range(1, 10)]
+
+# Registered by every SearchSystem.
+REQUIRED_METRICS = (
+    "query.response.count", "query.response.mean", "query.response.us",
+    "query.throughput_qps", "query.coverage.covered",
+    "query.coverage.implied", "query.coverage.ratio",
+    "cache.result.probes", "cache.l1.result.hits", "cache.l2.result.hits",
+    "cache.list.probes", "cache.l1.list.hits", "cache.l2.list.hits",
+    "cache.result.hit_ratio", "cache.list.hit_ratio", "cache.hit_ratio",
+    "cache.background.flash_us", "cache.stale.result_invalidations",
+    "cache.stale.list_invalidations", "cache.stale.ssd_result_misses",
+    "cache.stale.ssd_list_misses",
+    "cache.faults.ssd_read_errors", "cache.faults.hdd_read_errors",
+    "cache.breaker.trips", "cache.breaker.reopens", "cache.breaker.closes",
+    "cache.breaker.bypassed_ops", "cache.breaker.bypassed_probes",
+    "cache.breaker.bypassed_inserts", "cache.breaker.open",
+    *SITUATIONS, *(f"{s}.mean_us" for s in SITUATIONS),
+)
+
+# Groups registered together: any name under the prefix brings the
+# whole group (a cache SSD, an armed faulty HDD, the live index).
+METRIC_GROUPS = {
+    "ssd.cache.": (
+        "ssd.cache.host.reads", "ssd.cache.host.writes",
+        "ssd.cache.host.trims", "ssd.cache.gc.invocations",
+        "ssd.cache.gc.page_copies", "ssd.cache.ftl.gc_busy_us",
+        "ssd.cache.nand.page_reads", "ssd.cache.nand.page_programs",
+        "ssd.cache.nand.block_erases", "ssd.cache.write_amplification",
+        "ssd.cache.wear.mean_erases", "ssd.cache.wear.max_erases",
+        "ssd.cache.faults.read_retries",
+        "ssd.cache.faults.uncorrectable_reads",
+        "ssd.cache.faults.program_failures",
+        "ssd.cache.faults.remapped_writes",
+        "ssd.cache.faults.grown_bad_blocks"),
+    "hdd.faults.": (
+        "hdd.faults.read_uncs", "hdd.faults.read_retries",
+        "hdd.faults.write_fails", "hdd.faults.latency_spikes"),
+    "ingest.": (
+        "ingest.docs", "ingest.deletes", "ingest.delete_misses",
+        "ingest.merges", "ingest.merged_terms", "ingest.merged_postings",
+        "ingest.replayed_records", "ingest.replay_torn_bytes",
+        "ingest.apply_us", "ingest.merge_us", "ingest.segment.postings",
+        "ingest.segment.arena_bytes", "ingest.deleted_docs"),
+}
+
+
+def metric_kind(m):
+    if isinstance(m, int) and not isinstance(m, bool):
+        return "counter"
+    if isinstance(m, dict) and set(m) == GAUGE_KEYS:
+        return "gauge"
+    if isinstance(m, dict) and set(m) == HIST_KEYS:
+        return "histogram"
+    return None
+
+
+def check_registry_shape(metrics):
+    """Generic registry-dump shape, independent of any metric name."""
+    require(isinstance(metrics, dict) and metrics,
+            "'metrics' must be a non-empty object (registry dump)")
+    for name, m in metrics.items():
+        kind = metric_kind(m)
+        require(kind is not None,
+                f"metric {name!r}: not a counter, gauge or histogram")
+        if kind == "counter":
+            require(m >= 0, f"counter {name!r} is negative ({m})")
+        elif kind == "gauge":
+            require(all(is_num(m[k]) for k in ("mean", "min", "max")),
+                    f"gauge {name!r}: mean/min/max must be numbers")
+            require(isinstance(m["samples"], int) and m["samples"] > 0,
+                    f"gauge {name!r}: 'samples' must be a positive "
+                    "integer")
+            require(m["min"] <= m["mean"] <= m["max"],
+                    f"gauge {name!r}: min <= mean <= max violated "
+                    f"({m['min']}, {m['mean']}, {m['max']})")
+        else:
+            require(isinstance(m["count"], int) and m["count"] >= 0,
+                    f"histogram {name!r}: 'count' must be a "
+                    "non-negative integer")
+            require(all(is_num(m[k]) and m[k] >= 0 for k in HIST_KEYS),
+                    f"histogram {name!r}: values must be non-negative")
+            require(m["p50"] <= m["p90"] <= m["p99"],
+                    f"histogram {name!r}: quantiles must be ordered "
+                    f"p50 <= p90 <= p99 ({m['p50']}, {m['p90']}, "
+                    f"{m['p99']})")
+
+
+def counter(metrics, name):
+    m = metrics.get(name)
+    require(metric_kind(m) == "counter", f"{name!r} must be a counter")
+    return m
+
+
+def gauge(metrics, name):
+    m = metrics.get(name)
+    require(metric_kind(m) == "gauge", f"{name!r} must be a gauge")
+    return m["mean"]
+
+
+def inv_presence(metrics, _doc):
+    for name in REQUIRED_METRICS:
+        require(name in metrics, f"missing metric {name!r}")
+    for prefix, group in METRIC_GROUPS.items():
+        if any(n.startswith(prefix) for n in metrics):
+            for name in group:
+                require(name in metrics,
+                        f"{prefix}* present but {name!r} missing")
+
+
+def inv_census(metrics, _doc):
+    """Table I: the nine situations partition the served queries."""
+    queries = counter(metrics, "query.response.count")
+    require(queries > 0, "query.response.count must be positive")
+    census = sum(counter(metrics, s) for s in SITUATIONS)
+    require(census == queries,
+            f"situation counts sum to {census}, expected {queries}")
+    require(gauge(metrics, "query.throughput_qps") > 0,
+            "query.throughput_qps must be positive")
+
+
+def require_ratio(metrics, name, hits, probes):
+    ratio = gauge(metrics, name)
+    derived = hits / probes if probes else 0.0
+    require(abs(derived - ratio) <= 1e-6,
+            f"{name} {ratio} inconsistent with counters ({derived:.6f})")
+
+
+def inv_tier_hits(metrics, _doc):
+    """Per tier, hits never exceed probes; hit ratios re-derived."""
+    hits_all = probes_all = 0
+    for tier in ("result", "list"):
+        probes = counter(metrics, f"cache.{tier}.probes")
+        hits = (counter(metrics, f"cache.l1.{tier}.hits")
+                + counter(metrics, f"cache.l2.{tier}.hits"))
+        require(hits <= probes,
+                f"cache.{tier}: l1 + l2 hits ({hits}) exceed probes "
+                f"({probes})")
+        require_ratio(metrics, f"cache.{tier}.hit_ratio", hits, probes)
+        hits_all += hits
+        probes_all += probes
+    require_ratio(metrics, "cache.hit_ratio", hits_all, probes_all)
+    covered = counter(metrics, "query.coverage.covered")
+    implied = counter(metrics, "query.coverage.implied")
+    require(covered <= implied, "query.coverage: covered exceeds implied")
+    require_ratio(metrics, "query.coverage.ratio", covered, implied)
+
+
+def inv_gauge_ranges(metrics, _doc):
+    """No simulator gauge is signed; fractions stay in [0, 1]."""
+    for name, m in metrics.items():
+        if metric_kind(m) != "gauge":
+            continue
+        require(m["min"] >= 0, f"gauge {name!r} is negative ({m['min']})")
+        if name.endswith(("hit_ratio", "coverage.ratio", "_fraction")):
+            require(m["max"] <= 1.0, f"gauge {name!r} exceeds 1")
+
+
+def inv_flash(metrics, _doc):
+    """Write amplification >= 1 with host writes; the BBM invariant."""
+    if "ssd.cache.host.writes" not in metrics:
+        return
+    if counter(metrics, "ssd.cache.host.writes") > 0:
+        wa = gauge(metrics, "ssd.cache.write_amplification")
+        require(wa >= 1.0,
+                f"ssd.cache.write_amplification {wa} below 1 with host "
+                "writes present")
+    # Every injected program failure is salvaged by exactly one remap
+    # and retires exactly one block.
+    bbm = [counter(metrics, f"ssd.cache.faults.{k}")
+           for k in ("program_failures", "remapped_writes",
+                     "grown_bad_blocks")]
+    require(bbm[0] == bbm[1] == bbm[2],
+            f"ssd.cache.faults: program_failures ({bbm[0]}) != "
+            f"remapped_writes ({bbm[1]}) or grown_bad_blocks ({bbm[2]})")
+
+
+def inv_breaker(metrics, _doc):
+    is_open = gauge(metrics, "cache.breaker.open")
+    require(is_open in (0, 1), "cache.breaker.open must be 0 or 1")
+    check_breaker({
+        "state": "open" if is_open else "closed",
+        **{k: counter(metrics, f"cache.breaker.{k}")
+           for k in ("trips", "closes", "reopens", "bypassed_ops")},
+    }, "cache.breaker")
+
+
+def inv_ingest(metrics, _doc):
+    """Stale results are found by probing; merges account postings."""
+    stale = counter(metrics, "cache.stale.result_invalidations")
+    probes = counter(metrics, "cache.result.probes")
+    require(stale <= probes,
+            f"cache.stale.result_invalidations ({stale}) exceed result "
+            f"probes ({probes})")
+    if "ingest.docs" not in metrics:
+        return
+    touched = (counter(metrics, "ingest.docs")
+               + counter(metrics, "ingest.deletes"))
+    require(gauge(metrics, "ingest.deleted_docs") <= touched,
+            "ingest: more tombstones than documents ever touched")
+    if counter(metrics, "ingest.merges") == 0:
+        require(counter(metrics, "ingest.merged_postings") == 0,
+                "ingest: merged postings without any merge")
+
+
+def inv_trace_stages(metrics, doc):
+    """Known tracer stages only; a traced run records at least one."""
+    stages = {n: m for n, m in metrics.items() if n.startswith("trace.")}
+    for name, m in stages.items():
+        stage = name[len("trace."):-len(".us")]
+        require(name.endswith(".us") and stage in TRACE_STAGES,
+                f"unknown trace stage metric {name!r}")
+        require(metric_kind(m) == "histogram",
+                f"{name!r} must be a histogram")
+    if doc["tracing"]:
+        require(any(m["count"] > 0 for m in stages.values()),
+                "tracing is on but no trace stage recorded")
+
+
+REPORT_INVARIANTS = (inv_presence, inv_census, inv_tier_hits,
+                     inv_gauge_ranges, inv_flash, inv_breaker, inv_ingest,
+                     inv_trace_stages)
+
+
 def check_telemetry(doc, path):
-    require(doc.get("schema_version") == 1,
+    require(doc.get("schema_version") == 2,
             f"unsupported schema_version {doc.get('schema_version')!r}")
     require(isinstance(doc.get("run"), str) and doc["run"],
             "'run' must be a non-empty string")
-    queries = doc.get("queries")
-    require(isinstance(queries, int) and queries > 0,
-            "'queries' must be a positive integer")
     require(isinstance(doc.get("tracing"), bool), "'tracing' must be a bool")
 
-    sim = doc.get("simulated")
-    require(isinstance(sim, dict), "'simulated' must be an object")
-    require(is_num(sim.get("mean_response_us"))
-            and sim["mean_response_us"] >= 0,
-            "simulated: 'mean_response_us' must be non-negative")
-    require(is_num(sim.get("throughput_qps")) and sim["throughput_qps"] > 0,
-            "simulated: 'throughput_qps' must be positive")
-    check_quantiles(sim, "simulated")
-
-    stages = doc.get("stages")
-    require(isinstance(stages, dict), "'stages' must be an object")
-    if doc["tracing"]:
-        require(stages, "tracing is on but 'stages' is empty")
-    for name, st in stages.items():
-        require(name in TRACE_STAGES, f"unknown trace stage {name!r}")
-        ctx = f"stage '{name}'"
-        require(isinstance(st.get("count"), int) and st["count"] > 0,
-                f"{ctx}: 'count' must be a positive integer")
-        require(is_num(st.get("total_us")) and st["total_us"] >= 0,
-                f"{ctx}: 'total_us' must be non-negative")
-        require(is_num(st.get("mean_us")) and st["mean_us"] >= 0,
-                f"{ctx}: 'mean_us' must be non-negative")
-        check_quantiles(st, ctx)
-
-    situations = doc.get("situations")
-    require(isinstance(situations, list) and len(situations) == 9,
-            "'situations' must be a list of 9 entries (Table I S1-S9)")
-    census = 0
-    for i, s in enumerate(situations):
-        ctx = f"situation {i + 1}"
-        require(s.get("key") == f"s{i + 1}", f"{ctx}: key must be s{i + 1}")
-        require(isinstance(s.get("name"), str) and s["name"],
-                f"{ctx}: 'name' must be a non-empty string")
-        require(isinstance(s.get("count"), int) and s["count"] >= 0,
-                f"{ctx}: 'count' must be a non-negative integer")
-        require(is_num(s.get("mean_us")) and s["mean_us"] >= 0,
-                f"{ctx}: 'mean_us' must be non-negative")
-        census += s["count"]
-    require(census == queries,
-            f"situation counts sum to {census}, expected {queries}")
-
-    cache = doc.get("cache")
-    require(isinstance(cache, dict), "'cache' must be an object")
-    check_tier(cache.get("result"), "cache.result")
-    check_tier(cache.get("list"), "cache.list")
-    require(is_num(cache.get("combined_hit_ratio"))
-            and 0.0 <= cache["combined_hit_ratio"] <= 1.0,
-            "cache: 'combined_hit_ratio' must be in [0, 1]")
-    require(is_num(cache.get("request_coverage"))
-            and 0.0 <= cache["request_coverage"] <= 1.0,
-            "cache: 'request_coverage' must be in [0, 1]")
-
-    flash = doc.get("flash")
-    require(isinstance(flash, dict), "'flash' must be an object")
-    require(isinstance(flash.get("present"), bool),
-            "flash: 'present' must be a bool")
-    if flash["present"]:
-        for key in ("host_reads", "host_writes", "host_trims",
-                    "gc_invocations", "gc_page_copies", "page_reads",
-                    "page_programs", "block_erases", "max_erase_count"):
-            require(isinstance(flash.get(key), int) and flash[key] >= 0,
-                    f"flash: '{key}' must be a non-negative integer")
-        for key in ("gc_busy_us", "write_amplification",
-                    "mean_erase_count"):
-            require(is_num(flash.get(key)) and flash[key] >= 0,
-                    f"flash: '{key}' must be non-negative")
-        if flash["host_writes"] > 0:
-            require(flash["write_amplification"] >= 1.0,
-                    "flash: write_amplification below 1 with host writes "
-                    "present")
-
-    if "faults" in doc:
-        check_faults(doc["faults"])
-
-    if "ingest" in doc:
-        ing = doc["ingest"]
-        require(isinstance(ing, dict), "'ingest' must be an object")
-        for key in ("docs", "deletes", "delete_misses", "merges",
-                    "merged_terms", "merged_postings", "replayed_records",
-                    "replay_torn_bytes", "segment_postings",
-                    "segment_arena_bytes", "deleted_docs"):
-            require(isinstance(ing.get(key), int) and ing[key] >= 0,
-                    f"ingest: '{key}' must be a non-negative integer")
-        for key in ("apply_us", "merge_us"):
-            require(is_num(ing.get(key)) and ing[key] >= 0,
-                    f"ingest: '{key}' must be non-negative")
-        require(ing["deleted_docs"] <= ing["deletes"] + ing["docs"],
-                "ingest: more tombstones than documents ever touched")
-        if ing["merges"] == 0:
-            require(ing["merged_postings"] == 0,
-                    "ingest: merged postings without any merge")
-        check_stale(ing.get("stale"), "ingest.stale")
-        # Stale results are found by probing; the probe totals bound it.
-        cache = doc.get("cache", {})
-        result_probes = cache.get("result", {}).get("probes", 0)
-        require(ing["stale"]["result_invalidations"] <= result_probes,
-                "ingest.stale: more result invalidations than result "
-                "probes")
+    metrics = doc.get("metrics")
+    check_registry_shape(metrics)
+    for invariant in REPORT_INVARIANTS:
+        invariant(metrics, doc)
 
     # Optional open-loop traffic sections (runs driven by run_traffic):
     # all four travel together.
@@ -1147,13 +1249,188 @@ def check_telemetry(doc, path):
     if "replication" in doc:
         check_replication_section(doc["replication"])
 
-    metrics = doc.get("metrics")
-    require(isinstance(metrics, dict) and metrics,
-            "'metrics' must be a non-empty object (registry dump)")
-
     print(f"check_bench_json: OK ({path}: telemetry report "
-          f"'{doc['run']}', {queries} queries, {len(stages)} stages, "
+          f"'{doc['run']}', {metrics['query.response.count']} queries, "
           f"{len(metrics)} metrics)")
+
+
+# --- self-test -------------------------------------------------------------
+
+
+def gauge_of(v):
+    return {"mean": v, "min": v, "max": v, "samples": 1}
+
+
+def hist_of(count, p50, p90, p99):
+    return {"count": count, "mean": p50, "p50": p50, "p90": p90,
+            "p99": p99}
+
+
+def self_test_report():
+    """A small well-formed v2 report of a CBSLRU system with a cache SSD,
+    HDD and NAND faults armed and the live index on, so that every
+    invariant hook has something to check. Ints are counters, floats
+    gauges, tuples (count, p50, p90, p99) histograms."""
+    flat = {
+        "query.response.count": 100, "query.response.mean": 1000.0,
+        "query.response.max": 9000.0,
+        "query.response.us": (100, 500.0, 4000.0, 8000.0),
+        "query.throughput_qps": 800.0, "query.coverage.covered": 150,
+        "query.coverage.implied": 300, "query.coverage.ratio": 0.5,
+        "query.cache_served_fraction": 0.6,
+        "cache.result.probes": 100, "cache.l1.result.hits": 20,
+        "cache.l2.result.hits": 10, "cache.result.hit_ratio": 0.3,
+        "cache.list.probes": 200, "cache.l1.list.hits": 80,
+        "cache.l2.list.hits": 40, "cache.list.hit_ratio": 0.6,
+        "cache.hit_ratio": 0.5, "cache.background.flash_us": 5000.0,
+        "cache.stale.result_invalidations": 4,
+        "cache.stale.list_invalidations": 6,
+        "cache.stale.ssd_result_misses": 1, "cache.stale.ssd_list_misses": 0,
+        "cache.faults.ssd_read_errors": 3, "cache.faults.hdd_read_errors": 1,
+        "cache.breaker.trips": 1, "cache.breaker.reopens": 1,
+        "cache.breaker.closes": 1, "cache.breaker.bypassed_ops": 12,
+        "cache.breaker.bypassed_probes": 12,
+        "cache.breaker.bypassed_inserts": 5,
+        "cache.breaker.open": 0.0,
+        "ssd.cache.host.reads": 400, "ssd.cache.host.writes": 500,
+        "ssd.cache.host.trims": 0, "ssd.cache.gc.invocations": 2,
+        "ssd.cache.gc.page_copies": 20, "ssd.cache.ftl.gc_busy_us": 900.0,
+        "ssd.cache.nand.page_reads": 420, "ssd.cache.nand.page_programs": 520,
+        "ssd.cache.nand.block_erases": 3,
+        "ssd.cache.write_amplification": 1.04,
+        "ssd.cache.wear.mean_erases": 0.1, "ssd.cache.wear.max_erases": 1.0,
+        "ssd.cache.faults.read_retries": 6,
+        "ssd.cache.faults.uncorrectable_reads": 3,
+        "ssd.cache.faults.program_failures": 2,
+        "ssd.cache.faults.remapped_writes": 2,
+        "ssd.cache.faults.grown_bad_blocks": 2,
+        "hdd.faults.read_uncs": 1, "hdd.faults.read_retries": 2,
+        "hdd.faults.write_fails": 0, "hdd.faults.latency_spikes": 1,
+        "ingest.docs": 10, "ingest.deletes": 2, "ingest.delete_misses": 0,
+        "ingest.merges": 1, "ingest.merged_terms": 30,
+        "ingest.merged_postings": 300, "ingest.replayed_records": 0,
+        "ingest.replay_torn_bytes": 0, "ingest.apply_us": 50.0,
+        "ingest.merge_us": 200.0, "ingest.segment.postings": 40.0,
+        "ingest.segment.arena_bytes": 4096.0, "ingest.deleted_docs": 2.0,
+        "trace.result_probe.us": (100, 0.1, 300.0, 350.0),
+        "trace.daat_score.us": (70, 300.0, 350.0, 360.0),
+        "trace.ftl_gc.us": (0, 0.0, 0.0, 0.0),
+    }
+    for i, (s, n) in enumerate(zip(SITUATIONS,
+                                   (20, 10, 15, 10, 5, 20, 5, 5, 10))):
+        flat[s] = n
+        flat[f"{s}.mean_us"] = 100.0 * (i + 1)
+    metrics = {
+        name: gauge_of(v) if isinstance(v, float)
+        else hist_of(*v) if isinstance(v, tuple) else v
+        for name, v in flat.items()
+    }
+    return {"report": "telemetry", "schema_version": 2, "run": "self_test",
+            "tracing": True, "metrics": metrics}
+
+
+def setting(*pairs):
+    """A corruption that overwrites (metric name, value) pairs."""
+    def mutate(doc):
+        for name, value in pairs:
+            doc["metrics"][name] = value
+    return mutate
+
+
+def dropping(name):
+    def mutate(doc):
+        del doc["metrics"][name]
+    return mutate
+
+
+def untraced(doc):
+    for name in doc["metrics"]:
+        if name.startswith("trace."):
+            doc["metrics"][name] = hist_of(0, 0.0, 0.0, 0.0)
+
+
+# (what the corruption breaks, how, a fragment of the expected message)
+SELF_TEST_PROBES = (
+    ("result hits exceed probes",
+     setting(("cache.l1.result.hits", 95)), "exceed probes"),
+    ("hit ratio disagrees with its counters",
+     setting(("cache.list.hit_ratio", gauge_of(0.6 + 1e-5))),
+     "inconsistent with counters"),
+    ("census does not sum to the query count",
+     setting(("query.situation.s9", 11)), "situation counts sum"),
+    ("BBM invariant broken",
+     setting(("ssd.cache.faults.grown_bad_blocks", 3)), "program_failures"),
+    ("write amplification below 1 with host writes",
+     setting(("ssd.cache.write_amplification", gauge_of(0.98))),
+     "below 1"),
+    ("unordered histogram quantiles",
+     setting(("query.response.us", hist_of(100, 500.0, 9000.0, 8000.0))),
+     "quantiles must be ordered"),
+    ("unknown trace stage",
+     setting(("trace.disk_seek.us", hist_of(5, 1.0, 2.0, 3.0))),
+     "unknown trace stage"),
+    ("stale invalidations exceed result probes",
+     setting(("cache.stale.result_invalidations", 101)),
+     "exceed result probes"),
+    ("merged postings without a merge",
+     setting(("ingest.merges", 0)), "merged postings without any merge"),
+    ("breaker closes without a trip",
+     setting(("cache.breaker.trips", 0), ("cache.breaker.reopens", 0)),
+     "without any trip"),
+    ("breaker reopens without a trip",
+     setting(("cache.breaker.trips", 0), ("cache.breaker.closes", 0)),
+     "without any trip"),
+    ("more tombstones than documents touched",
+     setting(("ingest.deleted_docs", gauge_of(13.0))), "more tombstones"),
+    ("traced run records no stage", untraced, "no trace stage recorded"),
+    ("gauge mean below its min",
+     setting(("query.response.mean",
+              {"mean": 1000.0, "min": 1001.0, "max": 1002.0,
+               "samples": 1})),
+     "min <= mean <= max"),
+    ("negative counter",
+     setting(("cache.faults.hdd_read_errors", -1)), "is negative"),
+    ("fraction above 1",
+     setting(("query.cache_served_fraction", gauge_of(1.5))), "exceeds 1"),
+    ("required metric missing",
+     dropping("query.throughput_qps"), "missing metric"),
+    ("flash group incomplete",
+     dropping("ssd.cache.host.trims"), "present but"),
+)
+
+
+def rejection(doc):
+    """None if check_telemetry accepts `doc`, else its message."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            check_telemetry(doc, "self-test")
+    except CheckError as e:
+        return str(e)
+    return None
+
+
+def self_test():
+    base = self_test_report()
+    err = rejection(base)
+    if err is not None:
+        print(f"self-test FAIL: well-formed report rejected: {err}")
+        return 1
+    failures = []
+    for what, mutate, expected in SELF_TEST_PROBES:
+        doc = copy.deepcopy(base)
+        mutate(doc)
+        err = rejection(doc)
+        if err is None:
+            failures.append(f"{what}: corruption accepted")
+        elif expected not in err:
+            failures.append(f"{what}: rejected for another reason: {err}")
+    if failures:
+        for f in failures:
+            print(f"self-test FAIL: {f}")
+        return 1
+    print("self-test OK: well-formed report accepted, "
+          f"{len(SELF_TEST_PROBES)} corruptions rejected")
+    return 0
 
 
 def check_file(path):
@@ -1184,11 +1461,18 @@ def check_file(path):
 
 
 def main():
-    if len(sys.argv) < 2:
-        fail("usage: check_bench_json.py <file.json> [more.json ...]")
-    for path in sys.argv[1:]:
-        check_file(path)
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
+    try:
+        if len(sys.argv) < 2:
+            fail("usage: check_bench_json.py <file.json> [more.json ...]")
+        for path in sys.argv[1:]:
+            check_file(path)
+    except CheckError as e:
+        print(f"check_bench_json: FAIL: {e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

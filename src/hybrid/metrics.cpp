@@ -74,8 +74,11 @@ void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
   registry.stats(prefix + ".response", &responses_);
   registry.histogram(prefix + ".response.us", &hist_);
   for (std::size_t i = 0; i < kNumSituations; ++i) {
-    registry.counter(prefix + ".situation.s" + std::to_string(i + 1),
-                     &counts_[i]);
+    const std::string name = prefix + ".situation.s" + std::to_string(i + 1);
+    registry.counter(name, &counts_[i]);
+    const auto s = static_cast<Situation>(i);
+    registry.gauge(name + ".mean_us",
+                   [this, s] { return situation_mean_time(s).value(); });
   }
   registry.counter(prefix + ".coverage.covered", &covered_requests_);
   registry.counter(prefix + ".coverage.implied", &implied_requests_);

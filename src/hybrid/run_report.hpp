@@ -1,28 +1,23 @@
 // Machine-readable run reports (DESIGN.md §9).
 //
-// One JSON document per run: simulated latency quantiles, per-stage
-// trace summary, the Table-I situation census, per-tier cache hit
-// ratios, flash wear/write-amplification counters, and a full dump of
-// the metrics registry. Every bench emits one, and
-// scripts/check_bench_json.py validates the schema in CI, so runs stay
-// comparable across configurations and PRs.
+// One JSON document per run: a schema header, the open-loop traffic
+// and replication sections when the run has them, and a dump of the
+// metrics registry. The registry dump is the only copy of every
+// simulator metric (latency quantiles, throughput, the Table-I census,
+// per-tier hit ratios, flash wear and write amplification, faults,
+// ingest, trace stages), so each is defined once, at registration.
+// Every bench emits one, and scripts/check_bench_json.py checks the
+// registry shape plus invariants over metric names, so runs stay
+// comparable across configurations.
 #pragma once
 
 #include <string>
 
 #include "src/hybrid/cluster.hpp"
 #include "src/hybrid/search_system.hpp"
-#include "src/telemetry/json_writer.hpp"
-#include "src/telemetry/registry.hpp"
 #include "src/workload/arrival.hpp"
 
 namespace ssdse {
-
-/// Serialize a registry snapshot as a JSON object keyed by metric name.
-/// Counters render as integers; gauges as {mean,min,max,samples};
-/// histograms as {count,mean,p50,p90,p99}.
-void append_registry_json(telemetry::JsonWriter& w,
-                          const telemetry::RegistrySnapshot& snap);
 
 /// Render the full telemetry report for one system. When `traffic` is
 /// non-null the report gains the open-loop sections (DESIGN.md §14):

@@ -327,6 +327,7 @@ void SearchSystem::register_telemetry() {
   });
 
   metrics_.register_into(r, "query");
+  r.gauge("query.throughput_qps", [this] { return throughput_qps(); });
 
 #if SSDSE_TRACING
   for (std::size_t i = 0; i < telemetry::kNumTraceStages; ++i) {

@@ -372,20 +372,45 @@ TEST(SystemTelemetryTest, RunReportRendersValidSkeleton) {
   system.run(1'000);
   const std::string json = render_run_report(system, "unit");
   // Spot-check the schema markers the validator keys on. Full schema
-  // validation happens in CI via scripts/check_bench_json.py.
+  // validation is the run_report_schema CTest
+  // (scripts/check_bench_json.py).
   EXPECT_NE(json.find(R"("report":"telemetry")"), std::string::npos);
-  EXPECT_NE(json.find(R"("schema_version":1)"), std::string::npos);
+  EXPECT_NE(json.find(R"("schema_version":2)"), std::string::npos);
   EXPECT_NE(json.find(R"("run":"unit")"), std::string::npos);
-  EXPECT_NE(json.find(R"("queries":1000)"), std::string::npos);
-  EXPECT_NE(json.find(R"("situations":[)"), std::string::npos);
-  EXPECT_NE(json.find(R"("key":"s9")"), std::string::npos);
-  EXPECT_NE(json.find(R"("cache":{)"), std::string::npos);
+  EXPECT_NE(json.find(R"("query.response.count":1000)"), std::string::npos);
+  EXPECT_NE(json.find(R"("query.situation.s9")"), std::string::npos);
   EXPECT_NE(json.find(R"("metrics":{)"), std::string::npos);
+  // The registry dump is the only copy of the metrics: no hand-built
+  // sections next to it.
+  EXPECT_EQ(json.find(R"("cache":{)"), std::string::npos);
   // Balanced braces (cheap structural sanity without a JSON parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// The paper's throughput and Table I's per-situation times exist only
+// as registry gauges; they must read what the accessors compute.
+TEST(SystemTelemetryTest, RegistryCoversThroughputAndSituationTimes) {
+  SearchSystem system(small_system());
+  system.run(1'500);
+  const auto snap = system.telemetry_registry().snapshot();
+  const auto* qps = snap.find("query.throughput_qps");
+  ASSERT_NE(qps, nullptr);
+  EXPECT_EQ(qps->kind, telemetry::MetricKind::kGauge);
+  EXPECT_EQ(qps->gauge.mean(), system.throughput_qps());
+  EXPECT_GT(qps->gauge.mean(), 0.0);
+  for (std::size_t i = 0; i < kNumSituations; ++i) {
+    const auto s = static_cast<Situation>(i);
+    const std::string name =
+        "query.situation.s" + std::to_string(i + 1) + ".mean_us";
+    const auto* m = snap.find(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->kind, telemetry::MetricKind::kGauge) << name;
+    EXPECT_EQ(m->gauge.mean(), system.metrics().situation_mean_time(s).value())
+        << name;
+  }
 }
 
 TEST(ClusterTelemetryTest, SnapshotSumsShardCounters) {
@@ -406,6 +431,14 @@ TEST(ClusterTelemetryTest, SnapshotSumsShardCounters) {
   // Gauges carry one sample per shard.
   ASSERT_NE(merged.find("cache.result.hit_ratio"), nullptr);
   EXPECT_EQ(merged.find("cache.result.hit_ratio")->gauge.count(), 3u);
+  ASSERT_NE(merged.find("query.throughput_qps"), nullptr);
+  EXPECT_EQ(merged.find("query.throughput_qps")->gauge.count(), 3u);
+  for (std::size_t i = 1; i <= kNumSituations; ++i) {
+    const std::string name =
+        "query.situation.s" + std::to_string(i) + ".mean_us";
+    ASSERT_NE(merged.find(name), nullptr) << name;
+    EXPECT_EQ(merged.find(name)->gauge.count(), 3u) << name;
+  }
 }
 
 }  // namespace
