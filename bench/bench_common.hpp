@@ -53,18 +53,36 @@ inline std::string fmt_ms(Micros us) { return Table::num(us / kMillisecond, 2); 
 /// Figure benches emit a telemetry run report for their representative
 /// cell when SSDSE_TELEMETRY_OUT names a path (perf_driver always
 /// emits; see DESIGN.md §9 for the schema).
-inline void maybe_write_report(const SearchSystem& sys,
-                               const std::string& run_name,
+inline void maybe_write_report(const telemetry::RegistrySnapshot& metrics,
+                               bool tracing, const std::string& run_name,
                                const TrafficResult* traffic = nullptr,
                                const ReplicationSnapshot* replication = nullptr) {
   if (const char* path = std::getenv("SSDSE_TELEMETRY_OUT")) {
-    if (write_run_report(sys, run_name, path, traffic, replication)) {
+    if (write_run_report(metrics, tracing, run_name, path, traffic,
+                         replication)) {
       std::printf("wrote telemetry report %s (%s)\n", path,
                   run_name.c_str());
     } else {
       std::fprintf(stderr, "cannot write telemetry report %s\n", path);
     }
   }
+}
+
+inline void maybe_write_report(const SearchSystem& sys,
+                               const std::string& run_name,
+                               const TrafficResult* traffic = nullptr) {
+  maybe_write_report(sys.telemetry_registry().snapshot(),
+                     sys.tracer().enabled(), run_name, traffic);
+}
+
+/// A cluster run reports every shard, replica and the broker.
+inline void maybe_write_report(const SearchCluster& cluster,
+                               const std::string& run_name,
+                               const TrafficResult* traffic = nullptr,
+                               const ReplicationSnapshot* replication = nullptr) {
+  maybe_write_report(cluster.telemetry_snapshot(),
+                     cluster.broker_tracer().enabled(), run_name, traffic,
+                     replication);
 }
 
 }  // namespace ssdse::bench

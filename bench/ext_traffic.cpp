@@ -169,7 +169,7 @@ CellOutcome run_cell(const TrafficCell& cell, const Calibration& cal,
   out.pass = out.pass && out.conservation;
 
   if (emit_report) {
-    maybe_write_report(cluster.shard(0), "ext_traffic", &out.result);
+    maybe_write_report(cluster, "ext_traffic", &out.result);
   }
   return out;
 }

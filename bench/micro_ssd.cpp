@@ -49,8 +49,6 @@ void BM_FtlWrite(benchmark::State& state, const std::string& scheme,
 }
 BENCHMARK_CAPTURE(BM_FtlWrite, page_sequential, "page", true);
 BENCHMARK_CAPTURE(BM_FtlWrite, page_random, "page", false);
-BENCHMARK_CAPTURE(BM_FtlWrite, hybrid_random, "hybrid-log", false);
-BENCHMARK_CAPTURE(BM_FtlWrite, dftl_random, "dftl", false);
 
 void BM_FtlRead(benchmark::State& state) {
   NandArray nand(bench_nand());

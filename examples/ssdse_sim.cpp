@@ -12,7 +12,7 @@
 //   mem_budget (16MiB)       memory cache budget (20/80 split, 10x/100x SSD)
 //   policy (cblru)           lru | cblru | cbslru
 //   queries (20000)          stream length
-//   ftl (page)               page | block | hybrid-log | dftl | bplru+<s>
+//   ftl (page)               page | block
 //   codec (raw)              raw | varint | group-varint
 //   ttl (0)                  TTL in queries, 0 = static
 //   intersections (0)        intersection cache bytes (three-level)

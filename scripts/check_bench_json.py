@@ -1075,6 +1075,8 @@ def check_registry_shape(metrics):
             require(m["min"] <= m["mean"] <= m["max"],
                     f"gauge {name!r}: min <= mean <= max violated "
                     f"({m['min']}, {m['mean']}, {m['max']})")
+            require(m["samples"] > 1 or m["min"] == m["max"],
+                    f"gauge {name!r}: one sample but min != max")
         else:
             require(isinstance(m["count"], int) and m["count"] >= 0,
                     f"histogram {name!r}: 'count' must be a "
@@ -1099,6 +1101,15 @@ def gauge(metrics, name):
     return m["mean"]
 
 
+def gauge_span(metrics, name):
+    """(min, max) of a gauge's samples. A system's report has one sample
+    per gauge; a cluster's merges one per replica, and a quantity pooled
+    from the summed counters then lies within the span, not at the mean.
+    """
+    gauge(metrics, name)
+    return metrics[name]["min"], metrics[name]["max"]
+
+
 def inv_presence(metrics, _doc):
     for name in REQUIRED_METRICS:
         require(name in metrics, f"missing metric {name!r}")
@@ -1116,15 +1127,23 @@ def inv_census(metrics, _doc):
     census = sum(counter(metrics, s) for s in SITUATIONS)
     require(census == queries,
             f"situation counts sum to {census}, expected {queries}")
+    # A cluster report merges every replica: each broker dispatch is
+    # one query executed on one replica.
+    if "cluster.replica.dispatches" in metrics:
+        dispatches = counter(metrics, "cluster.replica.dispatches")
+        require(dispatches == queries,
+                f"cluster.replica.dispatches ({dispatches}) != "
+                f"query.response.count ({queries})")
     require(gauge(metrics, "query.throughput_qps") > 0,
             "query.throughput_qps must be positive")
 
 
 def require_ratio(metrics, name, hits, probes):
-    ratio = gauge(metrics, name)
+    lo, hi = gauge_span(metrics, name)
     derived = hits / probes if probes else 0.0
-    require(abs(derived - ratio) <= 1e-6,
-            f"{name} {ratio} inconsistent with counters ({derived:.6f})")
+    require(lo - 1e-6 <= derived <= hi + 1e-6,
+            f"{name} [{lo}, {hi}] inconsistent with counters "
+            f"({derived:.6f})")
 
 
 def inv_tier_hits(metrics, _doc):
@@ -1162,7 +1181,7 @@ def inv_flash(metrics, _doc):
     if "ssd.cache.host.writes" not in metrics:
         return
     if counter(metrics, "ssd.cache.host.writes") > 0:
-        wa = gauge(metrics, "ssd.cache.write_amplification")
+        _, wa = gauge_span(metrics, "ssd.cache.write_amplification")
         require(wa >= 1.0,
                 f"ssd.cache.write_amplification {wa} below 1 with host "
                 "writes present")
@@ -1177,8 +1196,9 @@ def inv_flash(metrics, _doc):
 
 
 def inv_breaker(metrics, _doc):
-    is_open = gauge(metrics, "cache.breaker.open")
-    require(is_open in (0, 1), "cache.breaker.open must be 0 or 1")
+    lo, is_open = gauge_span(metrics, "cache.breaker.open")
+    require(lo in (0, 1) and is_open in (0, 1),
+            "cache.breaker.open must be 0 or 1")
     check_breaker({
         "state": "open" if is_open else "closed",
         **{k: counter(metrics, f"cache.breaker.{k}")
@@ -1356,8 +1376,19 @@ SELF_TEST_PROBES = (
     ("hit ratio disagrees with its counters",
      setting(("cache.list.hit_ratio", gauge_of(0.6 + 1e-5))),
      "inconsistent with counters"),
+    ("merged hit ratio span excludes the pooled counters",
+     setting(("cache.list.hit_ratio",
+              {"mean": 0.5, "min": 0.4, "max": 0.55, "samples": 2})),
+     "inconsistent with counters"),
+    ("one-sample gauge with a span",
+     setting(("cache.list.hit_ratio",
+              {"mean": 0.6, "min": 0.5, "max": 0.7, "samples": 1})),
+     "one sample but min != max"),
     ("census does not sum to the query count",
      setting(("query.situation.s9", 11)), "situation counts sum"),
+    ("cluster dispatches disagree with the merged query count",
+     setting(("cluster.replica.dispatches", 99)),
+     "cluster.replica.dispatches"),
     ("BBM invariant broken",
      setting(("ssd.cache.faults.grown_bad_blocks", 3)), "program_failures"),
     ("write amplification below 1 with host writes",

@@ -1,5 +1,5 @@
-// FTL factory: construct a scheme by name ("page", "block",
-// "hybrid-log", "dftl") for the ablation bench and config-driven setups.
+// FTL factory: construct a scheme by name ("page", "block") for the
+// ablation bench and config-driven setups.
 #pragma once
 
 #include <memory>

@@ -3,37 +3,17 @@
 #include <stdexcept>
 
 #include "src/ftl/block_ftl.hpp"
-#include "src/ftl/bplru_ftl.hpp"
-#include "src/ftl/dftl.hpp"
-#include "src/ftl/hybrid_ftl.hpp"
 #include "src/ftl/page_ftl.hpp"
 
 namespace ssdse {
 
 std::unique_ptr<Ftl> make_ftl(const std::string& name, NandArray& nand,
                               const FtlConfig& cfg) {
-  // "bplru+<scheme>": wrap the inner scheme with the BPLRU write buffer.
-  if (name.rfind("bplru+", 0) == 0) {
-    auto inner = make_ftl(name.substr(6), nand, cfg);
-    return std::make_unique<BplruFtl>(nand, std::move(inner));
-  }
   if (name == "page") return std::make_unique<PageFtl>(nand, cfg);
   if (name == "block") return std::make_unique<BlockFtl>(nand, cfg);
-  if (name == "hybrid-log") {
-    HybridFtlConfig hc;
-    static_cast<FtlConfig&>(hc) = cfg;
-    return std::make_unique<HybridLogFtl>(nand, hc);
-  }
-  if (name == "dftl") {
-    DftlConfig dc;
-    static_cast<FtlConfig&>(dc) = cfg;
-    return std::make_unique<Dftl>(nand, dc);
-  }
   throw std::invalid_argument("unknown FTL scheme: " + name);
 }
 
-std::vector<std::string> ftl_scheme_names() {
-  return {"page", "block", "hybrid-log", "dftl"};
-}
+std::vector<std::string> ftl_scheme_names() { return {"page", "block"}; }
 
 }  // namespace ssdse

@@ -3,8 +3,9 @@
 // The FTL exposes a flat logical-page address space over a NandArray and
 // hides erase-before-write behind out-of-place updates + garbage
 // collection. The paper takes the "ideal page-based FTL" as its
-// baseline; we implement that (PageFtl) plus the other schemes §II.A
-// surveys (block-mapped, hybrid log-block, DFTL) for ablation.
+// baseline; we implement that (PageFtl) plus block mapping (BlockFtl),
+// the other end of the mapping-granularity range §II.A surveys, for
+// ablation.
 //
 // Correctness instrumentation: every logical page carries a version
 // counter; writes program tag = (lpn << 32 | version) into NAND and

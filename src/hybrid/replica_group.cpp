@@ -103,21 +103,38 @@ void ReplicaGroup::pick_order(std::vector<std::size_t>& order) {
   // zero-initialized EWMA must not read as "fastest", or every cold
   // sibling would steal the primary slot once, ping-ponging the order
   // and counting a failover per warm-up on a perfectly healthy cluster.
+  //
+  // But a replica only warms by serving, so a warmed replica in bad
+  // health whose breaker stays closed would never yield. While any
+  // sibling is unwarmed, a *suspect* warmed replica therefore ranks
+  // behind the unwarmed ones: its EWMA exceeds the latency the broker
+  // holds it to (the hedge delay, else the shard deadline), or one of
+  // its attempts faulted. The sibling is explored once, warms, and is
+  // ranked by EWMA from then on. A clean cluster has no suspects, so
+  // its order is unchanged.
+  //
   // Open replicas stay in the order as a last resort: with every
   // breaker open the primary still answers — honest accounting happens
   // at the merge, not by refusing to serve.
-  std::vector<char> admitted(order.size());
+  const Micros bound =
+      rep_.hedge_delay > Micros{} ? rep_.hedge_delay : deadline_;
+  const bool explore =
+      std::any_of(states_.begin(), states_.end(),
+                  [](const ReplicaState& st) { return !st.warmed; });
+  // rank: 0 warmed, 1 unwarmed, 2 suspect; +3 when the breaker refuses.
+  std::vector<std::uint8_t> rank(order.size());
   for (std::size_t r = 0; r < order.size(); ++r) {
-    admitted[r] = states_[r].breaker.allow() ? 1 : 0;
+    const ReplicaState& st = states_[r];
+    const bool suspect =
+        explore && st.warmed &&
+        (st.faults > 0 || (bound > Micros{} && st.ewma_us > bound));
+    rank[r] = static_cast<std::uint8_t>(
+        (st.warmed ? (suspect ? 2 : 0) : 1) +
+        (states_[r].breaker.allow() ? 0 : 3));
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (admitted[a] != admitted[b]) {
-                       return admitted[a] > admitted[b];
-                     }
-                     if (states_[a].warmed != states_[b].warmed) {
-                       return states_[a].warmed;
-                     }
+                     if (rank[a] != rank[b]) return rank[a] < rank[b];
                      if (!states_[a].warmed) return false;  // keep index order
                      return states_[a].ewma_us < states_[b].ewma_us;
                    });

@@ -69,8 +69,9 @@ struct ReplicationConfig {
   Micros hedge_delay = micros(0);
   /// Health-driven failover: order replicas by EWMA latency among those
   /// whose circuit breaker admits traffic; replicas without a warm-up
-  /// sample rank after warmed ones. Off = fixed order (replica 0 is
-  /// always primary).
+  /// sample rank after warmed ones, except after a warmed replica that
+  /// has faulted or whose EWMA exceeds the hedge delay (else the shard
+  /// deadline). Off = fixed order (replica 0 is always primary).
   bool failover = false;
   /// EWMA smoothing factor for per-replica latency health.
   double health_alpha = 0.2;
@@ -184,8 +185,10 @@ class ReplicaGroup {
 
   /// Replica try-order for this query (failover: breaker-admitted
   /// first, then warmed replicas by EWMA ascending, then unwarmed ones
-  /// in index order; otherwise fixed 0..R-1). Unwarmed replicas rank
-  /// last, not first — a zero EWMA is "no data", not "fastest".
+  /// in index order, then warmed replicas in bad health while any
+  /// sibling is unwarmed; otherwise fixed 0..R-1). Unwarmed replicas
+  /// rank after healthy ones, not first — a zero EWMA is "no data", not
+  /// "fastest".
   void pick_order(std::vector<std::size_t>& order);
 
   ReplicationConfig rep_;

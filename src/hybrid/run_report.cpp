@@ -316,8 +316,8 @@ void append_registry_json(telemetry::JsonWriter& w,
 
 }  // namespace
 
-std::string render_run_report(const SearchSystem& sys,
-                              const std::string& run_name,
+std::string render_run_report(const telemetry::RegistrySnapshot& metrics,
+                              bool tracing, const std::string& run_name,
                               const TrafficResult* traffic,
                               const ReplicationSnapshot* replication) {
   telemetry::JsonWriter w;
@@ -329,7 +329,7 @@ std::string render_run_report(const SearchSystem& sys,
   w.key("run");
   w.value(run_name);
   w.key("tracing");
-  w.value(SSDSE_TRACING != 0 && sys.tracer().enabled());
+  w.value(SSDSE_TRACING != 0 && tracing);
 
   if (traffic != nullptr) append_traffic_json(w, *traffic);
   if (replication != nullptr) append_replication_json(w, *replication);
@@ -337,21 +337,34 @@ std::string render_run_report(const SearchSystem& sys,
   // Every simulator metric (latency, census, cache, flash, faults,
   // ingest, trace stages) is defined once, in the registry.
   w.key("metrics");
-  append_registry_json(w, sys.telemetry_registry().snapshot());
+  append_registry_json(w, metrics);
 
   w.end_object();
   return w.str();
 }
 
-bool write_run_report(const SearchSystem& sys, const std::string& run_name,
+std::string render_run_report(const SearchSystem& sys,
+                              const std::string& run_name) {
+  return render_run_report(sys.telemetry_registry().snapshot(),
+                           sys.tracer().enabled(), run_name);
+}
+
+bool write_run_report(const telemetry::RegistrySnapshot& metrics,
+                      bool tracing, const std::string& run_name,
                       const std::string& path, const TrafficResult* traffic,
                       const ReplicationSnapshot* replication) {
   const std::string json =
-      render_run_report(sys, run_name, traffic, replication);
+      render_run_report(metrics, tracing, run_name, traffic, replication);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
+}
+
+bool write_run_report(const SearchSystem& sys, const std::string& run_name,
+                      const std::string& path) {
+  return write_run_report(sys.telemetry_registry().snapshot(),
+                          sys.tracer().enabled(), run_name, path);
 }
 
 }  // namespace ssdse

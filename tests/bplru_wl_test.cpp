@@ -1,11 +1,9 @@
-// BPLRU write-buffer decorator and PageFtl wear-leveling tests.
-#include <memory>
+// PageFtl wear-leveling tests. (The target keeps its historical name: it
+// also held the tests of the BPLRU write-buffer decorator, since removed.)
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "src/ftl/bplru_ftl.hpp"
-#include "src/ftl/factory.hpp"
-#include "src/ftl/hybrid_ftl.hpp"
 #include "src/ftl/page_ftl.hpp"
 #include "src/util/rng.hpp"
 
@@ -18,126 +16,6 @@ NandConfig small_nand(std::uint32_t blocks = 96,
   cfg.num_blocks = blocks;
   cfg.pages_per_block = pages_per_block;
   return cfg;
-}
-
-// --- BplruFtl ------------------------------------------------------------
-
-TEST(BplruTest, FactoryComposesWrapper) {
-  NandArray nand(small_nand());
-  auto ftl = make_ftl("bplru+page", nand);
-  EXPECT_EQ(ftl->name(), "bplru+page");
-  EXPECT_GT(ftl->logical_pages(), 0u);
-  NandArray nand2(small_nand());
-  EXPECT_THROW(make_ftl("bplru+bogus", nand2), std::invalid_argument);
-}
-
-TEST(BplruTest, WritesAbsorbedUntilBufferOverflow) {
-  NandArray nand(small_nand());
-  BplruConfig cfg;
-  cfg.buffer_blocks = 4;
-  BplruFtl ftl(nand, std::make_unique<PageFtl>(nand), cfg);
-  const auto ppb = nand.config().pages_per_block;
-  // Write into 4 distinct logical blocks: all buffered, nothing hits
-  // flash yet.
-  for (std::uint64_t b = 0; b < 4; ++b) EXPECT_TRUE(ftl.write(b * ppb).ok());
-  EXPECT_EQ(nand.stats().page_programs, 0u);
-  // A fifth block evicts the LRU block set -> flash programs happen.
-  EXPECT_TRUE(ftl.write(4 * ppb).ok());
-  EXPECT_GT(nand.stats().page_programs, 0u);
-  EXPECT_EQ(ftl.bplru_stats().flushes, 1u);
-}
-
-TEST(BplruTest, BufferedReadsServedFromRam) {
-  NandArray nand(small_nand());
-  BplruFtl ftl(nand, std::make_unique<PageFtl>(nand));
-  EXPECT_TRUE(ftl.write(3).ok());
-  const Micros t = ftl.read(3).latency;
-  EXPECT_LT(t, nand.config().page_read);  // RAM, not flash
-  EXPECT_EQ(ftl.bplru_stats().buffer_read_hits, 1u);
-}
-
-TEST(BplruTest, FlushAllDrains) {
-  NandArray nand(small_nand());
-  BplruFtl ftl(nand, std::make_unique<PageFtl>(nand));
-  for (Lpn p = 0; p < 20; ++p) EXPECT_TRUE(ftl.write(p).ok());
-  EXPECT_TRUE(ftl.flush_all().ok());
-  EXPECT_GE(ftl.bplru_stats().flushed_pages, 20u);
-  // All data readable through the inner FTL path afterwards.
-  for (Lpn p = 0; p < 20; ++p) EXPECT_TRUE(ftl.read(p).ok());
-}
-
-TEST(BplruTest, PaddingRewritesCleanPages) {
-  NandArray nand(small_nand());
-  BplruConfig cfg;
-  cfg.buffer_blocks = 1;
-  cfg.page_padding = true;
-  BplruFtl ftl(nand, std::make_unique<PageFtl>(nand), cfg);
-  const auto ppb = nand.config().pages_per_block;
-  EXPECT_TRUE(ftl.write(0).ok());        // one dirty page in block 0
-  EXPECT_TRUE(ftl.write(ppb).ok());      // block 1 -> evicts block 0
-  // Block 0 flushed with padding: 1 dirty + (ppb-1) padded programs.
-  EXPECT_EQ(ftl.bplru_stats().flushed_pages, 1u);
-  EXPECT_EQ(ftl.bplru_stats().padded_pages, ppb - 1);
-}
-
-TEST(BplruTest, ReducesMergesOnHybridFtlUnderRandomWrites) {
-  // BPLRU's target (its FAST'08 setting) is block/hybrid FTLs: grouping
-  // a block's dirty pages into one burst means each log-block merge
-  // covers one logical block instead of fanning out to ~ppb of them.
-  // (Padding off: over our FAST-like FTL the grouping itself is the
-  // win; padding trades extra volume for switch merges we don't model.)
-  auto run = [](bool with_bplru) {
-    NandArray nand(small_nand(128, 16));
-    const Lpn ppb = nand.config().pages_per_block;
-    std::unique_ptr<Ftl> ftl;
-    if (with_bplru) {
-      BplruConfig bc;
-      bc.page_padding = false;
-      ftl = std::make_unique<BplruFtl>(
-          nand, std::make_unique<HybridLogFtl>(nand), bc);
-    } else {
-      ftl = std::make_unique<HybridLogFtl>(nand);
-    }
-    Rng rng(77);
-    const Lpn n = std::min<Lpn>(ftl->logical_pages(), 512);
-    const Lpn nblocks = n / ppb;
-    for (int i = 0; i < 5'000; ++i) {
-      // Bursty writes: several pages of one block at a time (file-write
-      // locality), randomized order within the burst.
-      const Lpn block = rng.next_below(nblocks);
-      const int burst = 4 + static_cast<int>(rng.next_below(8));
-      for (int j = 0; j < burst; ++j) {
-        EXPECT_TRUE(ftl->write(block * ppb + rng.next_below(ppb)).ok());
-      }
-    }
-    return nand.stats().block_erases;
-  };
-  EXPECT_LT(run(true), run(false));
-}
-
-TEST(BplruTest, PaddingIsPureOverheadOnPageFtl) {
-  // Over an ideal page-mapping FTL the padding only amplifies writes —
-  // the reason the paper shapes writes at the *host* (CBLRU) instead of
-  // relying on a device-side buffer.
-  auto run = [](bool with_bplru) {
-    NandArray nand(small_nand(128, 16));
-    auto ftl = make_ftl(with_bplru ? "bplru+page" : "page", nand);
-    Rng rng(78);
-    const Lpn n = std::min<Lpn>(ftl->logical_pages(), 512);
-    for (int i = 0; i < 20'000; ++i) EXPECT_TRUE(ftl->write(rng.next_below(n)).ok());
-    return nand.stats().block_erases;
-  };
-  EXPECT_GT(run(true), run(false));
-}
-
-TEST(BplruTest, TrimDropsBufferedPage) {
-  NandArray nand(small_nand());
-  BplruFtl ftl(nand, std::make_unique<PageFtl>(nand));
-  EXPECT_TRUE(ftl.write(5).ok());
-  (void)ftl.trim(5);
-  const Micros t = ftl.read(5).latency;
-  EXPECT_LT(t, nand.config().page_read);  // unmapped read via inner
-  EXPECT_EQ(ftl.bplru_stats().buffer_read_hits, 0u);
 }
 
 // --- Wear leveling --------------------------------------------------------
@@ -177,8 +55,6 @@ TEST(WearLevelingTest, CorrectnessUnchanged) {
   for (int i = 0; i < 10'000; ++i) EXPECT_TRUE(ftl.write(rng.next_below(n)).ok());
   for (Lpn p = 0; p < n; ++p) EXPECT_TRUE(ftl.read(p).ok());
 }
-
-// --- Trace replay -----------------------------------------------------------
 
 }  // namespace
 }  // namespace ssdse

@@ -1,16 +1,19 @@
-// Cross-scheme FTL tests: block-mapped, hybrid log-block, DFTL, the
-// factory, plus a parameterized correctness sweep run against every
-// scheme under several workload shapes.
+// Cross-scheme FTL tests: block mapping, the factory, and a lockstep
+// sweep that runs every scheme against tests/reference_ftl.hpp under
+// several workload shapes (plus a program-fault stream for schemes with
+// bad-block management).
+#include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/ftl/block_ftl.hpp"
-#include "src/ftl/dftl.hpp"
 #include "src/ftl/factory.hpp"
-#include "src/ftl/hybrid_ftl.hpp"
 #include "src/util/rng.hpp"
+#include "tests/reference_ftl.hpp"
 
 namespace ssdse {
 namespace {
@@ -76,108 +79,6 @@ TEST(BlockFtlTest, RandomChurnKeepsDataIntact) {
   for (Lpn p = 0; p < n; ++p) EXPECT_TRUE(ftl.read(p).ok());
 }
 
-// --- HybridLogFtl ---------------------------------------------------------
-
-HybridFtlConfig hybrid_cfg(std::uint32_t log_blocks = 4) {
-  HybridFtlConfig cfg;
-  cfg.log_blocks = log_blocks;
-  return cfg;
-}
-
-TEST(HybridFtlTest, WritesLandInLogWithoutImmediateMerge) {
-  NandArray nand(small_nand());
-  HybridLogFtl ftl(nand, hybrid_cfg());
-  for (Lpn p = 0; p < 10; ++p) EXPECT_TRUE(ftl.write(p).ok());
-  EXPECT_EQ(ftl.stats().gc_invocations, 0u);
-  for (Lpn p = 0; p < 10; ++p) EXPECT_TRUE(ftl.read(p).ok());
-}
-
-TEST(HybridFtlTest, LogExhaustionTriggersFullMerge) {
-  NandArray nand(small_nand(64, 8));
-  HybridLogFtl ftl(nand, hybrid_cfg(2));
-  Rng rng(22);
-  const Lpn n = std::min<Lpn>(ftl.logical_pages(), 128);
-  for (int i = 0; i < 200; ++i) EXPECT_TRUE(ftl.write(rng.next_below(n)).ok());
-  EXPECT_GT(ftl.stats().gc_invocations, 0u);
-  EXPECT_LE(ftl.active_log_blocks(), 2u);
-}
-
-TEST(HybridFtlTest, NewestVersionWinsAfterMerges) {
-  NandArray nand(small_nand(64, 8));
-  HybridLogFtl ftl(nand, hybrid_cfg(2));
-  // Hammer one page among scattered writes; its read must always verify
-  // the latest version (internal tag check).
-  Rng rng(23);
-  const Lpn n = std::min<Lpn>(ftl.logical_pages(), 64);
-  for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(ftl.write(7).ok());
-    EXPECT_TRUE(ftl.write(rng.next_below(n)).ok());
-    EXPECT_TRUE(ftl.read(7).ok());
-  }
-}
-
-TEST(HybridFtlTest, TrimDropsLogAndDataCopies) {
-  NandArray nand(small_nand());
-  HybridLogFtl ftl(nand, hybrid_cfg());
-  EXPECT_TRUE(ftl.write(3).ok());
-  (void)ftl.trim(3);
-  const Micros t = ftl.read(3).latency;
-  EXPECT_LT(t, nand.config().page_read);  // unmapped read
-}
-
-// --- Dftl -------------------------------------------------------------------
-
-DftlConfig dftl_cfg(std::size_t cmt = 64) {
-  DftlConfig cfg;
-  cfg.cmt_entries = cmt;
-  return cfg;
-}
-
-TEST(DftlTest, CmtHitsOnRepeatedAccess) {
-  NandArray nand(small_nand());
-  Dftl ftl(nand, dftl_cfg());
-  EXPECT_TRUE(ftl.write(1).ok());
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(ftl.read(1).ok());
-  EXPECT_GT(ftl.dftl_stats().cmt_hits, 8u);
-  EXPECT_GT(ftl.dftl_stats().hit_ratio(), 0.8);
-}
-
-TEST(DftlTest, ColdMissesCostTranslationReads) {
-  NandArray nand(small_nand(256, 16));
-  Dftl ftl(nand, dftl_cfg(16));
-  // Touch many distinct pages: each miss charges a translation read.
-  for (Lpn p = 0; p < 200; ++p) EXPECT_TRUE(ftl.write(p * 7 % ftl.logical_pages()).ok());
-  EXPECT_GT(ftl.dftl_stats().tpage_reads, 100u);
-}
-
-TEST(DftlTest, DirtyEvictionsWriteTranslationPages) {
-  NandArray nand(small_nand(256, 16));
-  Dftl ftl(nand, dftl_cfg(8));
-  for (Lpn p = 0; p < 100; ++p) EXPECT_TRUE(ftl.write(p).ok());  // all dirtying, tiny CMT
-  EXPECT_GT(ftl.dftl_stats().tpage_writes, 50u);
-}
-
-TEST(DftlTest, MissCostsMoreThanHit) {
-  NandArray nand(small_nand(256, 16));
-  Dftl ftl(nand, dftl_cfg(4));
-  for (Lpn p = 0; p < 64; ++p) EXPECT_TRUE(ftl.write(p).ok());
-  const Micros hit = [&] {
-    EXPECT_TRUE(ftl.read(63).ok());          // load into CMT
-    return ftl.read(63).latency;  // now a CMT hit
-  }();
-  const Micros miss = ftl.read(0).latency;  // long evicted
-  EXPECT_GT(miss, hit);
-}
-
-TEST(DftlTest, DataIntegrityUnderChurn) {
-  NandArray nand(small_nand(128, 8));
-  Dftl ftl(nand, dftl_cfg(32));
-  Rng rng(24);
-  const Lpn n = std::min<Lpn>(ftl.logical_pages(), 256);
-  for (int i = 0; i < 5000; ++i) EXPECT_TRUE(ftl.write(rng.next_below(n)).ok());
-  for (Lpn p = 0; p < n; ++p) EXPECT_TRUE(ftl.read(p).ok());
-}
-
 // --- Factory -----------------------------------------------------------------
 
 TEST(FtlFactoryTest, MakesEverySchemeAndRejectsUnknown) {
@@ -192,69 +93,187 @@ TEST(FtlFactoryTest, MakesEverySchemeAndRejectsUnknown) {
   EXPECT_THROW(make_ftl("bogus", nand), std::invalid_argument);
 }
 
-// --- Parameterized correctness sweep over all schemes -----------------------
+// --- Lockstep sweep against the reference store ------------------------------
+
+enum class Shape {
+  kSequential,     // write_run over consecutive pages, wrapping
+  kRandom,         // uniform single-page writes
+  kHotCold,        // 80 % of writes to 10 % of the pages
+  kTrimMix,        // random writes with 30 % interleaved trims
+  kGcPressure,     // whole logical space, >= 90 % of it live throughout
+  kProgramFaults,  // random writes with injected program failures (BBM only)
+};
+constexpr const char* kShapeNames[] = {"sequential", "random",   "hotcold",
+                                       "trimmix",    "gcpressure", "faults"};
 
 struct SweepCase {
   std::string scheme;
-  int workload;  // 0 sequential, 1 random, 2 hot/cold, 3 write/trim mix
+  Shape shape;
+};
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.scheme << "/" << kShapeNames[static_cast<int>(c.shape)];
+}
+
+/// Issues every host op to the FTL and to the reference store alike.
+/// Each read checks that the FTL touched flash exactly when the
+/// reference says the page holds data (one NAND page read, no retries
+/// with read faults off); the FTL's own tag check verifies the version.
+class Lockstep {
+ public:
+  Lockstep(Ftl& ftl, NandArray& nand)
+      : ftl_(ftl), nand_(nand), ref_(ftl.logical_pages()) {}
+
+  void write(Lpn lpn) {
+    EXPECT_TRUE(ftl_.write(lpn).ok()) << "lpn " << lpn;
+    ref_.write(lpn);
+  }
+  void write_run(Lpn first, std::uint64_t count) {
+    EXPECT_TRUE(ftl_.write_run(first, count).ok()) << "run at " << first;
+    for (std::uint64_t i = 0; i < count; ++i) ref_.write(first + i);
+  }
+  void trim(Lpn lpn) {
+    (void)ftl_.trim(lpn);
+    ref_.trim(lpn);
+  }
+  void read(Lpn lpn) {
+    const std::uint64_t before = nand_.stats().page_reads;
+    EXPECT_TRUE(ftl_.read(lpn).ok()) << "lpn " << lpn;
+    expect_flash_reads(before, lpn, 1);
+  }
+  void read_run(Lpn first, std::uint64_t count) {
+    const std::uint64_t before = nand_.stats().page_reads;
+    EXPECT_TRUE(ftl_.read_run(first, count).ok()) << "run at " << first;
+    expect_flash_reads(before, first, count);
+  }
+  /// Read back pages [0, n): every one verifies or is legally unmapped.
+  void read_all(Lpn n) {
+    for (Lpn p = 0; p < n; ++p) read(p);
+  }
+
+  void expect_host_counts() const {
+    const FtlStats& s = ftl_.stats();
+    EXPECT_EQ(s.host_writes, ref_.host_writes());
+    EXPECT_EQ(s.host_reads, ref_.host_reads());
+    EXPECT_EQ(s.host_trims, ref_.host_trims());
+  }
+
+  [[nodiscard]] const ReferenceFtl& ref() const { return ref_; }
+
+ private:
+  void expect_flash_reads(std::uint64_t before, Lpn first,
+                          std::uint64_t count) {
+    std::uint64_t mapped = 0;
+    for (std::uint64_t i = 0; i < count; ++i) mapped += ref_.read(first + i);
+    EXPECT_EQ(nand_.stats().page_reads - before, mapped)
+        << "pages [" << first << ", " << first + count << "), version of "
+        << first << " is " << ref_.version(first);
+  }
+
+  Ftl& ftl_;
+  NandArray& nand_;
+  ReferenceFtl ref_;
 };
 
 class FtlSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
-TEST_P(FtlSweepTest, IntegrityAndAccountingInvariants) {
-  const auto& param = GetParam();
-  NandArray nand(small_nand(96, 8));
-  auto ftl = make_ftl(param.scheme, nand);
-  Rng rng(1000 + param.workload);
-  const Lpn n = std::min<Lpn>(ftl->logical_pages(), 256);
+TEST_P(FtlSweepTest, LockstepWithReferenceStore) {
+  const Shape shape = GetParam().shape;
+  NandConfig nc = small_nand(96, 8);
+  FtlConfig fc;
+  if (shape == Shape::kProgramFaults) {
+    // A generous spare pool: every grown bad block shrinks it for good.
+    nc.fault.program_fail_rate = 0.003;
+    fc.over_provisioning = 0.4;
+  }
+  NandArray nand(nc);
+  auto ftl = make_ftl(GetParam().scheme, nand, fc);
+  Lockstep ls(*ftl, nand);
+  Rng rng(1000 + static_cast<int>(shape));
+  const Lpn n = shape == Shape::kGcPressure
+                    ? ftl->logical_pages()
+                    : std::min<Lpn>(ftl->logical_pages(), 256);
+  const Lpn live_floor = n - n / 10;  // GC pressure keeps >= 90 % live
+  if (shape == Shape::kGcPressure) ls.write_run(0, n);
 
+  Lpn cursor = 0;
+  std::uint64_t remaps = 0;
   for (int i = 0; i < 4000; ++i) {
-    Lpn p;
-    switch (param.workload) {
-      case 0: p = static_cast<Lpn>(i) % n; break;
-      case 1: p = rng.next_below(n); break;
-      case 2: p = rng.chance(0.8) ? rng.next_below(n / 10 + 1)
-                                  : rng.next_below(n); break;
-      default: p = rng.next_below(n); break;
+    switch (shape) {
+      case Shape::kSequential: {
+        const Lpn count = std::min<Lpn>(4, n - cursor);
+        ls.write_run(cursor, count);
+        cursor = (cursor + count) % n;
+        break;
+      }
+      case Shape::kHotCold:
+        ls.write(rng.chance(0.8) ? rng.next_below(n / 10 + 1)
+                                 : rng.next_below(n));
+        break;
+      default:
+        ls.write(rng.next_below(n));
+        break;
     }
-    EXPECT_TRUE(ftl->write(p).ok());
-    if (param.workload == 3 && rng.chance(0.3)) {
-      (void)ftl->trim(rng.next_below(n));
+    if (shape == Shape::kTrimMix && rng.chance(0.3)) {
+      ls.trim(rng.next_below(n));
     }
-    if (rng.chance(0.2)) {
-      EXPECT_TRUE(ftl->read(rng.next_below(n)).ok());  // self-verifying
+    if (shape == Shape::kGcPressure && rng.chance(0.1) &&
+        ls.ref().live_pages() > live_floor) {
+      ls.trim(rng.next_below(n));
+    }
+    if (ftl->stats().remapped_writes != remaps) {
+      // Read-your-writes after every remap: the retired block's pages
+      // were relocated, and nothing may have been lost on the way.
+      remaps = ftl->stats().remapped_writes;
+      ls.read_all(n);
+    }
+    if (rng.chance(0.2)) ls.read(rng.next_below(n));
+    if (rng.chance(0.05)) {
+      const Lpn first = rng.next_below(n);
+      ls.read_run(first, std::min<Lpn>(1 + rng.next_below(8), n - first));
     }
   }
-  // Full read-back: every page either verifies or is legally unmapped.
-  for (Lpn p = 0; p < n; ++p) EXPECT_TRUE(ftl->read(p).ok());
+  ls.read_all(n);
+  ls.expect_host_counts();
 
-  // Accounting invariants.
-  const auto& s = ftl->stats();
-  EXPECT_EQ(s.host_writes, 4000u);
+  const FtlStats& s = ftl->stats();
   EXPECT_GT(s.host_busy.value(), 0.0);
   EXPECT_GE(nand.stats().page_programs, s.host_writes);
-  if (s.host_writes > 0) {
-    EXPECT_GE(s.write_amplification(nand.stats()), 1.0);
+  EXPECT_GE(s.write_amplification(nand.stats()), 1.0);
+  if (shape == Shape::kGcPressure) {
+    EXPECT_GE(ls.ref().live_pages(), live_floor);
+    EXPECT_GT(s.gc_invocations, 0u);
+  }
+  if (shape == Shape::kProgramFaults) {
+    // Each failure retires the active block, remaps the write, and grows
+    // exactly one bad block.
+    EXPECT_GT(s.program_failures, 0u);
+    EXPECT_EQ(s.program_failures, s.remapped_writes);
+    EXPECT_EQ(s.program_failures, s.grown_bad_blocks);
+  } else {
+    EXPECT_EQ(s.program_failures, 0u);
   }
 }
 
 std::vector<SweepCase> sweep_cases() {
   std::vector<SweepCase> cases;
   for (const auto& scheme : ftl_scheme_names()) {
-    for (int w = 0; w < 4; ++w) cases.push_back({scheme, w});
+    for (Shape s = Shape::kSequential; s != Shape::kProgramFaults;
+         s = static_cast<Shape>(static_cast<int>(s) + 1)) {
+      cases.push_back({scheme, s});
+    }
+    NandArray nand(small_nand());
+    if (make_ftl(scheme, nand)->supports_bad_blocks()) {
+      cases.push_back({scheme, Shape::kProgramFaults});
+    }
   }
   return cases;
 }
 
 std::string sweep_case_name(
     const ::testing::TestParamInfo<SweepCase>& info) {
-  static const char* const kNames[] = {"sequential", "random", "hotcold",
-                                       "trimmix"};
-  std::string s = info.param.scheme + "_" + kNames[info.param.workload];
-  for (char& c : s) {
-    if (c == '-') c = '_';
-  }
-  return s;
+  return info.param.scheme + "_" +
+         kShapeNames[static_cast<int>(info.param.shape)];
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemesAllWorkloads, FtlSweepTest,

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "src/hybrid/metrics.hpp"
-#include "src/index/posting.hpp"
 #include "src/ssd/ssd.hpp"
 #include "src/util/bitmap.hpp"
 #include "src/util/flat_lru_map.hpp"
@@ -169,19 +168,6 @@ TEST(BitmapEdgeTest, ExactWordBoundary) {
   EXPECT_EQ(b.first_clear(), 64u);
   b.clear(63);
   EXPECT_EQ(b.first_clear(), 63u);
-}
-
-// --- PostingList corner ---------------------------------------------------------
-
-TEST(PostingEdgeTest, ZeroSkipIntervalClamped) {
-  PostingList list({{DocId{1}, 5}, {DocId{2}, 3}}, /*skip_interval=*/0);
-  EXPECT_EQ(list.skip_interval(), 1u);
-  EXPECT_EQ(list.skips().size(), 2u);
-}
-
-TEST(PostingEdgeTest, SingleElementPrefix) {
-  PostingList list({{DocId{9}, 2}});
-  EXPECT_EQ(list.prefix(0.0001).size(), 1u);  // ceil: never zero if >0
 }
 
 }  // namespace

@@ -266,6 +266,35 @@ TEST(ReplicaTest, FailoverRoutesAroundSickPrimary) {
   EXPECT_DOUBLE_EQ(snap.coverage_mean, 1.0);
 }
 
+// A replica only warms by serving, so ranking warmed replicas ahead of
+// unwarmed ones used to pin traffic on a warmed primary that turned
+// slow: with its breaker closed (too few faulted attempts to trip) and
+// no hedge to touch the sibling, the sibling was never tried. A warmed
+// replica that overruns the deadline must yield to the unwarmed
+// sibling, which then wins the EWMA order.
+TEST(ReplicaTest, SlowPrimaryWithClosedBreakerYieldsToUnwarmedSibling) {
+  ClusterConfig cfg = small_cluster(1);
+  cfg.shard_deadline = ms(100);
+  cfg.replication.replication_factor = 2;
+  cfg.replication.failover = true;
+  ReplicaFaultOverride slow;
+  slow.shard = 0;
+  slow.replica = 0;
+  slow.hdd.latency_spike_rate = 0.2;
+  slow.hdd.spike_latency = ms(200);
+  cfg.replica_faults.push_back(slow);
+
+  SearchCluster cluster(cfg);
+  cluster.run(400);
+
+  const auto snap = cluster.replication_snapshot();
+  ASSERT_EQ(snap.slots.size(), 2u);
+  EXPECT_GT(snap.slots[0].faults, 0u);        // the primary overran
+  EXPECT_EQ(snap.slots[0].breaker_trips, 0u);  // ...but never tripped
+  EXPECT_GT(snap.failovers, 0u);
+  EXPECT_GT(snap.slots[1].attempts, snap.slots[0].attempts);
+}
+
 // Regression (PR 9 carryover): unwarmed replicas used to sort *first*
 // in the EWMA try-order — a zero-initialized EWMA read as "fastest" —
 // so on a perfectly healthy cluster every cold sibling stole the

@@ -1,11 +1,13 @@
-// Writes telemetry run reports for three representative systems, so the
+// Writes telemetry run reports for four representative systems, so the
 // `run_report_schema` CTest can validate them with
 // scripts/check_bench_json.py:
 //
 //   cbslru.json  the paper's CBSLRU cell, small, with a cache SSD;
 //   ingest.json  a materialized index under ingest/delete churn and a
 //                segment merge (ingest.* and cache.stale.* populated);
-//   faults.json  HDD and NAND faults armed, breaker tuned to trip.
+//   faults.json  HDD and NAND faults armed, breaker tuned to trip;
+//   cluster.json two shards of two replicas with a slow primary, merged
+//                over every replica and the broker.
 //
 // Usage: run_report_writer <out-dir>   (created if missing)
 #include <cstdio>
@@ -29,15 +31,23 @@ SystemConfig small_system() {
   return cfg;
 }
 
-bool write(const SearchSystem& sys, const std::string& dir,
-           const std::string& name) {
+bool write(const telemetry::RegistrySnapshot& metrics, bool tracing,
+           const std::string& dir, const std::string& name,
+           const ReplicationSnapshot* replication = nullptr) {
   const std::string path = dir + "/" + name + ".json";
-  if (!write_run_report(sys, name, path)) {
+  if (!write_run_report(metrics, tracing, name, path, nullptr,
+                        replication)) {
     std::fprintf(stderr, "run_report_writer: cannot write %s\n",
                  path.c_str());
     return false;
   }
   return true;
+}
+
+bool write(const SearchSystem& sys, const std::string& dir,
+           const std::string& name) {
+  return write(sys.telemetry_registry().snapshot(), sys.tracer().enabled(),
+               dir, name);
 }
 
 bool write_cbslru(const std::string& dir) {
@@ -100,6 +110,29 @@ bool write_faults(const std::string& dir) {
   return write(sys, dir, "faults");
 }
 
+bool write_cluster(const std::string& dir) {
+  ClusterConfig cfg;
+  cfg.num_shards = 2;
+  cfg.total_docs = 200'000;
+  cfg.shard_template = small_system();
+  cfg.shard_deadline = ms(100);
+  cfg.replication.replication_factor = 2;
+  cfg.replication.failover = true;
+  for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
+    ReplicaFaultOverride slow;
+    slow.shard = s;
+    slow.replica = 0;
+    slow.hdd.latency_spike_rate = 0.2;
+    slow.hdd.spike_latency = ms(200);
+    cfg.replica_faults.push_back(slow);
+  }
+  SearchCluster cluster(cfg);
+  cluster.run(1'000);
+  const ReplicationSnapshot snap = cluster.replication_snapshot();
+  return write(cluster.telemetry_snapshot(), cluster.broker_tracer().enabled(),
+               dir, "cluster", &snap);
+}
+
 }  // namespace
 }  // namespace ssdse
 
@@ -117,6 +150,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool ok = ssdse::write_cbslru(dir) && ssdse::write_ingest(dir) &&
-                  ssdse::write_faults(dir);
+                  ssdse::write_faults(dir) && ssdse::write_cluster(dir);
   return ok ? 0 : 1;
 }

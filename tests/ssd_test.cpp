@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ftl/factory.hpp"
 #include "src/ssd/ssd.hpp"
 #include "src/util/rng.hpp"
 
@@ -101,7 +102,7 @@ TEST(SsdTest, DeviceStatsAccumulate) {
 }
 
 TEST(SsdTest, WorksWithEveryFtlScheme) {
-  for (const std::string scheme : {"page", "block", "hybrid-log", "dftl"}) {
+  for (const std::string& scheme : ftl_scheme_names()) {
     Ssd ssd(small_ssd(64, scheme));
     EXPECT_EQ(ssd.ftl().name(), scheme);
     EXPECT_TRUE(ssd.write(0, 64).ok());
