@@ -5,6 +5,8 @@
 // the full-figure benches impractically slow.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "src/ftl/factory.hpp"
 #include "src/ftl/page_ftl.hpp"
 #include "src/ssd/ssd.hpp"
@@ -49,6 +51,28 @@ void BM_FtlWrite(benchmark::State& state, const std::string& scheme,
 }
 BENCHMARK_CAPTURE(BM_FtlWrite, page_sequential, "page", true);
 BENCHMARK_CAPTURE(BM_FtlWrite, page_random, "page", false);
+
+// The perfbench lru_baseline shape: 20-page runs at random offsets in
+// the hottest 93 % of the logical space of a cache SSD that size (about
+// 950 MiB raw), so steady-state GC copies live pages.
+void BM_FtlWriteRun(benchmark::State& state, std::uint64_t pages) {
+  NandConfig cfg;
+  cfg.num_blocks = 7'600;
+  NandArray nand(cfg);
+  PageFtl ftl(nand);
+  const Lpn span = ftl.logical_pages() * 93 / 100;
+  for (Lpn p = 0; p < span; p += pages) {
+    benchmark::DoNotOptimize(ftl.write_run(p, std::min(pages, span - p)));
+  }
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ftl.write_run(rng.next_below(span - pages + 1), pages));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pages));
+}
+BENCHMARK_CAPTURE(BM_FtlWriteRun, page_run20, 20);
 
 void BM_FtlRead(benchmark::State& state) {
   NandArray nand(bench_nand());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <stdexcept>
 
 namespace ssdse {
@@ -20,14 +19,18 @@ PageFtl::PageFtl(NandArray& nand, const FtlConfig& cfg)
   if (nc.num_blocks <= reserved + 2) {
     throw std::invalid_argument("PageFtl: NAND too small for OP + reserve");
   }
+  // NandArray keeps total_pages() below kUnmapped, so every page number
+  // fits the 32-bit maps.
   logical_pages_ =
       static_cast<Lpn>(nc.num_blocks - reserved) * nc.pages_per_block;
-  map_.assign(logical_pages_, kUnmappedP);
+  map_.assign(logical_pages_, kUnmapped);
   version_.assign(logical_pages_, 0);
-  rmap_.assign(nc.total_pages(), kUnmappedL);
+  rmap_.assign(nc.total_pages(), kUnmapped);
   valid_.assign(nc.num_blocks, 0);
   state_.assign(nc.num_blocks, BState::kFree);
   seal_wear_.assign(nc.num_blocks, 0);
+  by_valid_.assign(nc.pages_per_block + 1, Bitmap(nc.num_blocks));
+  run_tags_.resize(nc.pages_per_block);
   free_blocks_.reserve(nc.num_blocks);
   // Highest block numbers first so allocation starts at block 0. Under
   // wear leveling the vector is kept as a heap ordered by wear (least
@@ -47,74 +50,21 @@ PageFtl::PageFtl(NandArray& nand, const FtlConfig& cfg)
     state_[active_[s]] = BState::kActive;
     cursor_[s] = 0;
   }
-  // Lazy deletion leaves at most one stale heap entry per invalidation;
-  // cap the backlog at a few live-set sizes before rebuilding.
-  compact_limit_ = static_cast<std::size_t>(nc.num_blocks) * 4 + 64;
-  candidates_.reserve(compact_limit_);
-  is_dirty_.assign(nc.num_blocks, 0);
-  dirty_.reserve(nc.num_blocks);
 }
 
-void PageFtl::check_lpn(Lpn lpn) const {
-  if (lpn >= logical_pages_) {
+void PageFtl::check_run(Lpn first, std::uint64_t count) const {
+  if (count > logical_pages_ || first > logical_pages_ - count) {
     throw std::out_of_range("PageFtl: lpn beyond logical space");
   }
 }
 
-void PageFtl::invalidate(Ppn ppn) {
-  assert(ppn != kUnmappedP);
-  const Pbn blk = nand_.block_of(ppn);
-  assert(valid_[blk] > 0);
-  --valid_[blk];
-  // Defer the heap push: just queue the block as dirty (once). Its
-  // current key is pushed in a batch when GC next needs a victim, so
-  // repeated overwrites between collections cost O(1) each; stale keys
-  // already in the heap are filtered out when popped (lazy deletion).
-  if (state_[blk] == BState::kUsed && !is_dirty_[blk]) {
-    is_dirty_[blk] = 1;
-    dirty_.push_back(blk);
+void PageFtl::drop_valid(Pbn blk, std::uint32_t pages) {
+  assert(valid_[blk] >= pages);
+  if (state_[blk] == BState::kUsed) {
+    by_valid_[valid_[blk]].clear(blk);
+    by_valid_[valid_[blk] - pages].set(blk);
   }
-  rmap_[ppn] = kUnmappedL;
-}
-
-void PageFtl::push_candidate(Pbn b) {
-  candidates_.emplace_back(valid_[b], seal_wear_[b], b);
-  std::push_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
-  if (candidates_.size() > compact_limit_) compact_candidates();
-}
-
-void PageFtl::flush_dirty_candidates() {
-  for (const Pbn b : dirty_) {
-    is_dirty_[b] = 0;
-    // Blocks reclaimed (or re-activated) since being queued have no
-    // live key to refresh.
-    if (state_[b] == BState::kUsed) push_candidate(b);
-  }
-  dirty_.clear();
-}
-
-void PageFtl::compact_candidates() {
-  // Rebuilding from live state also supersedes any queued dirty keys.
-  for (const Pbn b : dirty_) is_dirty_[b] = 0;
-  dirty_.clear();
-  candidates_.clear();
-  // The compaction scan already walks every Used block, so piggyback
-  // the wear histogram here: bucket = floor(log2(erases + 1)), last
-  // bucket absorbs the tail. Snapshot semantics — each compaction
-  // replaces the previous distribution.
-  wear_buckets_.fill(0);
-  for (Pbn b = 0; b < state_.size(); ++b) {
-    if (state_[b] == BState::kUsed) {
-      candidates_.emplace_back(valid_[b], seal_wear_[b], b);
-      std::size_t bucket = 0;
-      for (std::uint64_t w = nand_.erase_count(b) + 1; w > 1; w >>= 1) {
-        ++bucket;
-      }
-      ++wear_buckets_[std::min(bucket, kWearBuckets - 1)];
-    }
-  }
-  std::make_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
-  ++heap_compactions_;
+  valid_[blk] -= pages;
 }
 
 Pbn PageFtl::pop_free_block() {
@@ -150,74 +100,73 @@ void PageFtl::push_free_block(Pbn b) {
   }
 }
 
-Ppn PageFtl::alloc_page(bool gc_stream) {
-  const int s = gc_stream ? 1 : 0;
-  const auto ppb = nand_.config().pages_per_block;
-  if (cursor_[s] == ppb) {
-    // Seal the filled active block: it becomes a GC candidate.
-    const Pbn old = active_[s];
-    state_[old] = BState::kUsed;
-    seal_wear_[old] = cfg_.wear_leveling ? nand_.erase_count(old) : 0;
-    push_candidate(old);
-    if (free_blocks_.empty()) {
-      throw std::logic_error("PageFtl: free pool exhausted (GC invariant)");
-    }
-    active_[s] = pop_free_block();
-    state_[active_[s]] = BState::kActive;
-    cursor_[s] = 0;
+void PageFtl::open_block(int s) {
+  const Pbn old = active_[s];
+  state_[old] = BState::kUsed;
+  seal_wear_[old] = cfg_.wear_leveling ? nand_.erase_count(old) : 0;
+  by_valid_[valid_[old]].set(old);
+  if (free_blocks_.empty()) {
+    throw std::logic_error("PageFtl: free pool exhausted (GC invariant)");
   }
-  const Ppn ppn = static_cast<Ppn>(active_[s]) * ppb + cursor_[s];
-  ++cursor_[s];
-  return ppn;
+  active_[s] = pop_free_block();
+  state_[active_[s]] = BState::kActive;
+  cursor_[s] = 0;
 }
 
-Micros PageFtl::gc_once() {
-  const auto& nc = nand_.config();
-  flush_dirty_candidates();
-  // Pop until the minimum entry reflects a block's live state. A stale
-  // entry that *matches* live state is necessarily equal to that
-  // block's current key (same tuple), so accepting it picks the same
-  // victim an exact ordered set would.
-  std::uint32_t best = 0;
-  Pbn victim = 0;
-  for (;;) {
-    if (candidates_.empty()) {
-      throw std::logic_error("PageFtl: GC with no candidate blocks");
-    }
-    const auto [v, w, b] = candidates_.front();
-    std::pop_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
-    candidates_.pop_back();
-    if (state_[b] == BState::kUsed && valid_[b] == v && seal_wear_[b] == w) {
-      best = v;
-      victim = b;
-      break;
-    }
-  }
-  if (best >= nc.pages_per_block) {
-    throw std::logic_error(
-        "PageFtl: no reclaimable block (logical space overcommitted)");
-  }
+std::uint32_t PageFtl::alloc_gc_page() {
+  const auto ppb = nand_.config().pages_per_block;
+  if (cursor_[1] == ppb) open_block(1);
+  return active_[1] * ppb + cursor_[1]++;
+}
+
+Micros PageFtl::relocate_valid_pages(Pbn b) {
   Micros cost = micros(0);
-  const Ppn base = static_cast<Ppn>(victim) * nc.pages_per_block;
-  for (std::uint32_t p = 0; p < nc.pages_per_block; ++p) {
-    const Ppn src = base + p;
-    const Lpn lpn = rmap_[src];
-    if (lpn == kUnmappedL) continue;  // invalid page, skip
+  const auto ppb = nand_.config().pages_per_block;
+  const std::uint32_t base = b * ppb;
+  for (std::uint32_t src = base; src < base + ppb && valid_[b] > 0; ++src) {
+    const std::uint32_t lpn = rmap_[src];
+    if (lpn == kUnmapped) continue;  // invalid page, skip
     assert(map_[lpn] == src);
     std::uint64_t tag = 0;
     cost += nand_.read_page(src, &tag);
     assert(tag == make_tag(lpn, version_[lpn]));
-    const Ppn dst = alloc_page(/*gc_stream=*/true);
+    const std::uint32_t dst = alloc_gc_page();
     cost += nand_.program_page(dst, tag);
     map_[lpn] = dst;
     rmap_[dst] = lpn;
-    // Source page: direct invalidation (victim is no longer a candidate).
-    --valid_[victim];
-    rmap_[src] = kUnmappedL;
+    // Direct invalidation: `b` is out of the victim index.
+    --valid_[b];
+    rmap_[src] = kUnmapped;
     ++valid_[nand_.block_of(dst)];
-    ++stats_.gc_page_copies;
   }
-  assert(valid_[victim] == 0);
+  if (valid_[b] != 0) {
+    throw std::logic_error("PageFtl: valid count above the block's live pages");
+  }
+  return cost;
+}
+
+Micros PageFtl::gc_once() {
+  const auto ppb = nand_.config().pages_per_block;
+  std::uint32_t v = 0;
+  while (v <= ppb && by_valid_[v].none()) ++v;
+  if (v > ppb) throw std::logic_error("PageFtl: GC with no candidate blocks");
+  if (v == ppb) {
+    throw std::logic_error(
+        "PageFtl: no reclaimable block (logical space overcommitted)");
+  }
+  Bitmap& bucket = by_valid_[v];
+  auto victim = static_cast<Pbn>(bucket.next_set(0));
+  if (cfg_.wear_leveling) {
+    // Least (seal_wear, block): blocks come in ascending order, so only
+    // strictly less wear displaces the current pick.
+    for (std::size_t b = bucket.next_set(victim + 1); b < bucket.size();
+         b = bucket.next_set(b + 1)) {
+      if (seal_wear_[b] < seal_wear_[victim]) victim = static_cast<Pbn>(b);
+    }
+  }
+  bucket.clear(victim);
+  Micros cost = relocate_valid_pages(victim);
+  stats_.gc_page_copies += v;
   cost += nand_.erase_block(victim);
   state_[victim] = BState::kFree;
   push_free_block(victim);
@@ -234,38 +183,15 @@ Micros PageFtl::collect_garbage() {
   return cost;
 }
 
-IoResult PageFtl::read(Lpn lpn) {
-  check_lpn(lpn);
-  ++stats_.host_reads;
-  IoResult io;
-  io += kCtrlOverhead;
-  const Ppn ppn = map_[lpn];
-  if (ppn != kUnmappedP) {
-    std::uint64_t tag = 0;
-    io += nand_.read_page_checked(ppn, &tag);
-    if (tag != make_tag(lpn, version_[lpn])) {
-      throw std::logic_error("PageFtl: tag mismatch on read (mapping bug)");
-    }
-    stats_.read_retries += io.retries;
-    if (io.status == IoStatus::kUncorrectable) ++stats_.uncorrectable_reads;
-  }
-  stats_.host_busy += io.latency;
-  return io;
-}
-
 IoResult PageFtl::read_run(Lpn first, std::uint64_t count) {
-  // Inlined per-page read loop: byte-for-byte the accounting of read()
-  // called `count` times (same stats increments, same latency summation
-  // order), minus one virtual dispatch per page.
+  check_run(first, count);
   IoResult run;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Lpn lpn = first + i;
-    check_lpn(lpn);
+  for (Lpn lpn = first; lpn < first + count; ++lpn) {
     ++stats_.host_reads;
     IoResult io;
     io += kCtrlOverhead;
-    const Ppn ppn = map_[lpn];
-    if (ppn != kUnmappedP) {
+    const std::uint32_t ppn = map_[lpn];
+    if (ppn != kUnmapped) {
       std::uint64_t tag = 0;
       io += nand_.read_page_checked(ppn, &tag);
       if (tag != make_tag(lpn, version_[lpn])) {
@@ -280,20 +206,10 @@ IoResult PageFtl::read_run(Lpn first, std::uint64_t count) {
   return run;
 }
 
-IoResult PageFtl::write_run(Lpn first, std::uint64_t count) {
-  // Same per-page call sequence as the base default, but the qualified
-  // call devirtualizes write() so the compiler can inline the page body
-  // into the loop (write_pages issues tens of pages per request).
-  IoResult io;
-  for (std::uint64_t i = 0; i < count; ++i) io += PageFtl::write(first + i);
-  return io;
-}
-
 Micros PageFtl::retire_active_block(int s) {
-  const auto& nc = nand_.config();
   const Pbn b = active_[s];
   // Install the replacement first so relocation programs land in a
-  // different block than the one being retired. The caller (write)
+  // different block than the one being retired. The caller (write_run)
   // checks spare availability before retiring, so the pool cannot be
   // empty here.
   assert(!free_blocks_.empty());
@@ -305,81 +221,122 @@ Micros PageFtl::retire_active_block(int s) {
   // page. Relocation uses the fault-free NAND ops: modeling relocation
   // failure would mean data loss, which the latency-only simulation
   // cannot represent (DESIGN.md §10).
-  Micros cost = micros(0);
-  const Ppn base = static_cast<Ppn>(b) * nc.pages_per_block;
-  for (std::uint32_t p = 0; p < nc.pages_per_block; ++p) {
-    const Ppn src = base + p;
-    const Lpn lpn = rmap_[src];
-    if (lpn == kUnmappedL) continue;
-    assert(map_[lpn] == src);
-    std::uint64_t tag = 0;
-    cost += nand_.read_page(src, &tag);
-    assert(tag == make_tag(lpn, version_[lpn]));
-    const Ppn dst = alloc_page(/*gc_stream=*/true);
-    cost += nand_.program_page(dst, tag);
-    map_[lpn] = dst;
-    rmap_[dst] = lpn;
-    // Direct invalidation: an Active block is never in the candidate
-    // heap, so no dirty-queue bookkeeping applies.
-    --valid_[b];
-    rmap_[src] = kUnmappedL;
-    ++valid_[nand_.block_of(dst)];
-  }
-  assert(valid_[b] == 0);
+  Micros cost = relocate_valid_pages(b);
   cost += nand_.erase_block(b);
   state_[b] = BState::kBad;  // never pushed back to the free pool
   ++stats_.grown_bad_blocks;
   return cost;
 }
 
-IoResult PageFtl::write(Lpn lpn) {
-  check_lpn(lpn);
-  ++stats_.host_writes;
-  IoResult io;
-  io += kCtrlOverhead;
-  if (map_[lpn] != kUnmappedP) invalidate(map_[lpn]);
-  ++version_[lpn];
-  const std::uint64_t tag = make_tag(lpn, version_[lpn]);
-  for (;;) {
-    if (!can_alloc_host_page()) {
-      // Spare-pool exhaustion (ROADMAP): grown bad blocks have eaten
-      // the over-provisioning, so there is no page left to remap onto.
-      // Surface a clean kWriteFailed instead of aborting the
-      // simulation; the logical page reads as unmapped afterwards
-      // (the data never reached flash).
-      map_[lpn] = kUnmappedP;
-      io.status = IoStatus::kWriteFailed;
-      stats_.host_busy += io.latency;
-      return io;
+void PageFtl::supersede(Lpn first, std::uint32_t count) {
+  stats_.host_writes += count;
+  // Pages written together are rewritten together, so a run's old
+  // copies mostly sit side by side: drop valid counts once per stretch
+  // of one block rather than once per page.
+  Pbn blk = 0;
+  std::uint32_t stale = 0;
+  for (Lpn lpn = first; lpn < first + count; ++lpn) {
+    ++version_[lpn];
+    const std::uint32_t old = map_[lpn];
+    if (old == kUnmapped) continue;
+    rmap_[old] = kUnmapped;
+    if (stale > 0 && nand_.block_of(old) != blk) {
+      drop_valid(blk, stale);
+      stale = 0;
     }
-    const Ppn dst = alloc_page(/*gc_stream=*/false);
-    const IoResult pr = nand_.program_page_checked(dst, tag);
-    io += pr.latency;
-    if (pr.status != IoStatus::kWriteFailed) {
-      map_[lpn] = dst;
-      rmap_[dst] = lpn;
-      ++valid_[nand_.block_of(dst)];
-      break;
-    }
-    // Grown bad block: the program consumed the page but stored nothing.
-    // Retire the whole active block and retry in a fresh one — the
-    // failure never surfaces to the host while spares remain.
-    ++stats_.program_failures;
-    if (free_blocks_.empty()) continue;  // next loop surfaces the failure
-    io += retire_active_block(/*s=*/0);  // program faults hit the host stream
-    ++stats_.remapped_writes;
+    blk = nand_.block_of(old);
+    ++stale;
   }
-  io += collect_garbage();
-  stats_.host_busy += io.latency;
-  return io;
+  if (stale > 0) drop_valid(blk, stale);
+}
+
+IoResult PageFtl::write_run(Lpn first, std::uint64_t count) {
+  check_run(first, count);
+  const auto ppb = nand_.config().pages_per_block;
+  const Lpn end = first + count;
+  IoResult run;
+  // The page at `lpn` and its latency so far. `retry`: its program
+  // failed, so it is already superseded and waits for a fresh block.
+  Lpn lpn = first;
+  IoResult io;
+  bool retry = false;
+  while (lpn < end) {
+    if (cursor_[0] == ppb) {
+      if (free_blocks_.empty()) {
+        // Spare-pool exhaustion (ROADMAP): grown bad blocks have eaten
+        // the over-provisioning, so there is no page left to remap onto.
+        // Surface a clean kWriteFailed instead of aborting the
+        // simulation; the logical page reads as unmapped afterwards
+        // (the data never reached flash).
+        if (!retry) {
+          supersede(lpn, 1);
+          io = IoResult{};
+          io += kCtrlOverhead;
+        }
+        map_[lpn] = kUnmapped;
+        io.status = IoStatus::kWriteFailed;
+        stats_.host_busy += io.latency;
+        run += io;
+        retry = false;
+        ++lpn;
+        continue;
+      }
+      open_block(0);
+    }
+    // One program run per stretch of the active block. GC runs after
+    // the page that took a free block, before the next page programs,
+    // so such a page runs alone.
+    const bool gc_due = free_blocks_.size() < cfg_.gc_low_watermark;
+    const auto n = gc_due ? 1u
+                          : static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                                end - lpn, ppb - cursor_[0]));
+    const std::uint32_t resumed = retry ? 1 : 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      run_tags_[i] =
+          make_tag(lpn + i, version_[lpn + i] + (i < resumed ? 0 : 1));
+    }
+    const std::uint32_t base = active_[0] * ppb + cursor_[0];
+    const auto programmed =
+        nand_.program_run_checked(base, run_tags_.data(), n);
+    cursor_[0] += programmed.consumed;
+    // Every consumed page, a failed one included, is a host write.
+    supersede(lpn + resumed, programmed.consumed - resumed);
+    for (std::uint32_t i = 0; i < programmed.consumed; ++i, ++lpn) {
+      if (i >= resumed) {
+        io = IoResult{};
+        io += kCtrlOverhead;
+      }
+      io += nand_.config().page_program;
+      if (programmed.failed && i + 1 == programmed.consumed) break;
+      map_[lpn] = base + i;
+      rmap_[base + i] = static_cast<std::uint32_t>(lpn);
+      ++valid_[active_[0]];
+      if (gc_due) io += collect_garbage();
+      stats_.host_busy += io.latency;
+      run += io;
+    }
+    retry = programmed.failed;
+    if (retry) {
+      // Grown bad block: the program consumed the page but stored
+      // nothing. Retire the whole active block and retry in a fresh one
+      // — the failure never surfaces to the host while spares remain.
+      ++stats_.program_failures;
+      if (!free_blocks_.empty()) {
+        io += retire_active_block(/*s=*/0);  // program faults hit the host stream
+        ++stats_.remapped_writes;
+      }
+    }
+  }
+  return run;
 }
 
 Micros PageFtl::trim(Lpn lpn) {
-  check_lpn(lpn);
+  check_run(lpn, 1);
   ++stats_.host_trims;
-  if (map_[lpn] != kUnmappedP) {
-    invalidate(map_[lpn]);
-    map_[lpn] = kUnmappedP;
+  if (const std::uint32_t old = map_[lpn]; old != kUnmapped) {
+    rmap_[old] = kUnmapped;
+    drop_valid(nand_.block_of(old), 1);
+    map_[lpn] = kUnmapped;
     ++version_[lpn];
   }
   return micros(1.0);  // mapping-table update only

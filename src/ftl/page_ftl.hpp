@@ -1,15 +1,14 @@
 // Page-mapping FTL — the paper's baseline ("ideal page-based FTL",
-// Intel AP-684). Full page-granular mapping table, out-of-place writes
-// into per-stream active blocks, greedy (min-valid-pages) garbage
-// collection with a lazy-deletion candidate heap for O(log B) victim
-// picks, hot/cold separation between host and GC write streams.
+// Intel AP-684). Full page-granular 32-bit mapping tables, out-of-place
+// writes into per-stream active blocks served a run at a time, greedy
+// (min-valid-pages) garbage collection over a valid-count bucket index,
+// hot/cold separation between host and GC write streams.
 #pragma once
 
-#include <array>
-#include <tuple>
 #include <vector>
 
 #include "src/ftl/ftl.hpp"
+#include "src/util/bitmap.hpp"
 
 namespace ssdse {
 
@@ -18,10 +17,11 @@ class PageFtl final : public Ftl {
   PageFtl(NandArray& nand, const FtlConfig& cfg = {});
 
   [[nodiscard]] Lpn logical_pages() const override { return logical_pages_; }
-  IoResult read(Lpn lpn) override;
+  /// One-page runs: every host page goes through the run path.
+  IoResult read(Lpn lpn) override { return read_run(lpn, 1); }
   IoResult read_run(Lpn first, std::uint64_t count) override;
+  IoResult write(Lpn lpn) override { return write_run(lpn, 1); }
   IoResult write_run(Lpn first, std::uint64_t count) override;
-  IoResult write(Lpn lpn) override;
   [[nodiscard]] Micros trim(Lpn lpn) override;
   /// Program failures are absorbed by grown-bad-block retirement +
   /// remap; the host write always succeeds (until spares exhaust).
@@ -30,24 +30,8 @@ class PageFtl final : public Ftl {
 
   [[nodiscard]] std::size_t free_blocks() const { return free_blocks_.size(); }
 
-  /// Wear histogram of the Used blocks scanned by the most recent
-  /// candidate-heap compaction: bucket i counts blocks with erase count
-  /// in [2^i - 1, 2^(i+1) - 1) (log2 binning; the last bucket absorbs
-  /// the tail). All zero until lazy deletion first forces a compaction.
-  static constexpr std::size_t kWearBuckets = 8;
-  [[nodiscard]] const std::array<std::uint64_t, kWearBuckets>& wear_buckets()
-      const {
-    return wear_buckets_;
-  }
-  /// Total candidate-heap compactions (lazy-deletion growth + explicit
-  /// rebuilds).
-  [[nodiscard]] std::uint64_t heap_compactions() const {
-    return heap_compactions_;
-  }
-
  private:
-  static constexpr Ppn kUnmappedP = ~0ull;
-  static constexpr Lpn kUnmappedL = ~0ull;
+  static constexpr std::uint32_t kUnmapped = kInvalidU32;
   static constexpr Micros kCtrlOverhead = micros(5.0);
 
   enum class BState : std::uint8_t { kFree, kActive, kUsed, kBad };
@@ -61,57 +45,39 @@ class PageFtl final : public Ftl {
   /// block's valid pages onto the GC stream, erase it once, and mark it
   /// kBad (never returned to the free pool). Returns the latency.
   [[nodiscard]] Micros retire_active_block(int s);
-  /// Allocate the next physical page on the given stream, pulling a new
-  /// active block from the free pool when the current one fills.
-  Ppn alloc_page(bool gc_stream);
-  /// Can the host stream allocate another page without violating the
-  /// free-pool invariant? False only when the active block is full and
-  /// the spare pool is exhausted (grown bad blocks ate it).
-  [[nodiscard]] bool can_alloc_host_page() const {
-    return cursor_[0] < nand_.config().pages_per_block ||
-           !free_blocks_.empty();
-  }
+  /// Copy block `b`'s valid pages onto the GC stream, stopping once its
+  /// valid count reaches 0. Returns the NAND latency. Throws
+  /// std::logic_error if the count outlasts the block's pages.
+  [[nodiscard]] Micros relocate_valid_pages(Pbn b);
+  /// Seal stream `s`'s full active block (it becomes a GC candidate) and
+  /// install a fresh one from the free pool.
+  void open_block(int s);
+  /// Allocate the next physical page on the GC stream, opening a new
+  /// active block when the current one fills.
+  std::uint32_t alloc_gc_page();
   Pbn pop_free_block();
   void push_free_block(Pbn b);
-  void invalidate(Ppn ppn);
-  void check_lpn(Lpn lpn) const;
-  /// Record the current (valid, seal-wear) key of a Used block in the
-  /// candidate heap; stale earlier entries are left behind and filtered
-  /// out lazily at victim-selection time.
-  void push_candidate(Pbn b);
-  /// Push the current keys of all dirty blocks (invalidated since the
-  /// last GC) — called before victim selection so every Used block's
-  /// live key is present in the heap.
-  void flush_dirty_candidates();
-  /// Rebuild the candidate heap from live block state when lazy
-  /// deletion has let it grow past compact_limit_.
-  void compact_candidates();
+  /// `pages` of block `blk` lost their data: lower its valid count and
+  /// move it down the victim index if it is Used.
+  void drop_valid(Pbn blk, std::uint32_t pages);
+  /// Count `count` host writes from `first`: bump their versions and
+  /// invalidate their old copies. Valid counts are exact on return.
+  void supersede(Lpn first, std::uint32_t count);
+  void check_run(Lpn first, std::uint64_t count) const;
 
   FtlConfig cfg_;
   Lpn logical_pages_;
-  std::vector<Ppn> map_;               // lpn -> ppn
-  std::vector<Lpn> rmap_;              // ppn -> lpn (GC lookup)
+  std::vector<std::uint32_t> map_;     // lpn -> ppn
+  std::vector<std::uint32_t> rmap_;    // ppn -> lpn (GC lookup)
   std::vector<std::uint32_t> version_; // lpn -> expected tag version
   std::vector<std::uint32_t> valid_;   // block -> valid page count
   std::vector<BState> state_;          // block -> lifecycle state
   std::vector<std::uint32_t> seal_wear_;  // wear key at seal time (WL)
-  // GC victim candidates: (valid, wear-at-seal, blk) min-heap with lazy
-  // deletion — invalidate() pushes the updated key instead of erasing
-  // the old one, and gc_once() discards entries whose key no longer
-  // matches the block's live state. Because valid_ only decreases while
-  // a block stays Used, every block's *current* key is always present,
-  // so the first live entry popped is exactly the ordered-set minimum.
-  // The wear component is 0 unless wear_leveling.
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, Pbn>> candidates_;
-  std::size_t compact_limit_ = 0;  // heap size that triggers compaction
-  std::array<std::uint64_t, kWearBuckets> wear_buckets_{};
-  std::uint64_t heap_compactions_ = 0;
-  // Invalidation defers the heap push: a block is marked dirty on its
-  // first invalidation since the last GC, and all dirty keys are pushed
-  // in one batch when a victim is next needed — many overwrites of the
-  // same block between GCs collapse into a single heap operation.
-  std::vector<Pbn> dirty_;
-  std::vector<std::uint8_t> is_dirty_;  // block -> queued in dirty_
+  // GC victim index: by_valid_[v] holds the Used blocks with v valid
+  // pages. The victim is the lowest block of the lowest non-empty
+  // bucket; under wear leveling, the bucket's least (seal_wear, block).
+  std::vector<Bitmap> by_valid_;
+  std::vector<std::uint64_t> run_tags_;  // host tags of one program run
   std::vector<Pbn> free_blocks_;  // max-heap-by-(-wear) when WL is on
   Pbn active_[2];                      // [0] host stream, [1] GC stream
   std::uint32_t cursor_[2];            // next page within active block

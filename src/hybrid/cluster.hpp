@@ -129,8 +129,9 @@ class SearchCluster {
   [[nodiscard]] const RunMetrics& metrics() const { return metrics_; }
 
   /// Fleet-wide telemetry: every replica's registry snapshot merged
-  /// (counters sum, gauges become per-shard sample distributions,
-  /// histograms merge bucket-wise), plus the broker registry.
+  /// (counters sum, ratio gauges derive from the summed counters, other
+  /// gauges become per-shard sample distributions, histograms merge
+  /// bucket-wise), plus the broker registry.
   [[nodiscard]] telemetry::RegistrySnapshot telemetry_snapshot() const;
 
   /// Cluster throughput: every shard must execute every query

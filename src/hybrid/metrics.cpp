@@ -60,10 +60,7 @@ double RunMetrics::cache_served_fraction() const {
   const auto total = responses_.count();
   if (total == 0) return 0.0;
   std::uint64_t served = 0;
-  for (const Situation s :
-       {Situation::kS1_ResultMemory, Situation::kS2_ResultSsd,
-        Situation::kS3_ListsMemory, Situation::kS4_ListsMemorySsd,
-        Situation::kS5_ListsSsd}) {
+  for (const Situation s : kCacheServed) {
     served += counts_[static_cast<std::size_t>(s)];
   }
   return static_cast<double>(served) / static_cast<double>(total);
@@ -82,10 +79,15 @@ void RunMetrics::register_into(telemetry::MetricsRegistry& registry,
   }
   registry.counter(prefix + ".coverage.covered", &covered_requests_);
   registry.counter(prefix + ".coverage.implied", &implied_requests_);
-  registry.gauge(prefix + ".coverage.ratio",
-                 [this] { return request_coverage(); });
-  registry.gauge(prefix + ".cache_served_fraction",
-                 [this] { return cache_served_fraction(); });
+  registry.ratio(prefix + ".coverage.ratio", {prefix + ".coverage.covered"},
+                 {prefix + ".coverage.implied"});
+  std::vector<std::string> served;
+  for (const Situation s : kCacheServed) {
+    served.push_back(prefix + ".situation.s" +
+                     std::to_string(static_cast<std::size_t>(s) + 1));
+  }
+  registry.ratio(prefix + ".cache_served_fraction", std::move(served),
+                 {prefix + ".response.count"});
 }
 
 double RunMetrics::throughput_qps(Micros background_time) const {

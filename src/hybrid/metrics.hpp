@@ -28,6 +28,12 @@ enum class Situation : std::uint8_t {
 };
 constexpr std::size_t kNumSituations = 9;
 
+/// The situations that never touch the HDD index store (S1-S5).
+constexpr Situation kCacheServed[] = {
+    Situation::kS1_ResultMemory, Situation::kS2_ResultSsd,
+    Situation::kS3_ListsMemory, Situation::kS4_ListsMemorySsd,
+    Situation::kS5_ListsSsd};
+
 const char* to_string(Situation s);
 
 /// Classify a query outcome: result tier (if the result cache answered)

@@ -196,9 +196,15 @@ void SearchSystem::register_telemetry() {
   r.counter("cache.stale.ssd_list_misses", &cs->stale_ssd_list_misses);
   r.gauge("cache.background.flash_us",
           [cs] { return cs->background_flash_time.value(); });
-  r.gauge("cache.result.hit_ratio", [cs] { return cs->result_hit_ratio(); });
-  r.gauge("cache.list.hit_ratio", [cs] { return cs->list_hit_ratio(); });
-  r.gauge("cache.hit_ratio", [cs] { return cs->hit_ratio(); });
+  r.ratio("cache.result.hit_ratio",
+          {"cache.l1.result.hits", "cache.l2.result.hits"},
+          {"cache.result.probes"});
+  r.ratio("cache.list.hit_ratio",
+          {"cache.l1.list.hits", "cache.l2.list.hits"}, {"cache.list.probes"});
+  r.ratio("cache.hit_ratio",
+          {"cache.l1.result.hits", "cache.l2.result.hits",
+           "cache.l1.list.hits", "cache.l2.list.hits"},
+          {"cache.result.probes", "cache.list.probes"});
 
   // Fault / degradation accounting (DESIGN.md §10). All zero and inert
   // in fault-free runs.
@@ -243,8 +249,8 @@ void SearchSystem::register_telemetry() {
     r.counter("ssd.cache.nand.page_reads", &ns->page_reads);
     r.counter("ssd.cache.nand.page_programs", &ns->page_programs);
     r.counter("ssd.cache.nand.block_erases", &ns->block_erases);
-    r.gauge("ssd.cache.write_amplification",
-            [fs, ns] { return fs->write_amplification(*ns); });
+    r.ratio("ssd.cache.write_amplification", {"ssd.cache.nand.page_programs"},
+            {"ssd.cache.host.writes"});
     r.gauge("ssd.cache.wear.mean_erases",
             [ssd] { return ssd->nand().mean_erase_count(); });
     r.gauge("ssd.cache.wear.max_erases", [ssd] {

@@ -7,8 +7,21 @@
 
 namespace ssdse {
 
+namespace {
+
+const NandConfig& checked(const NandConfig& cfg) {
+  if (cfg.total_pages() >= kInvalidU32) {
+    throw std::invalid_argument(
+        "NandArray: " + std::to_string(cfg.total_pages()) +
+        " pages do not fit 32-bit page numbers");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 NandArray::NandArray(const NandConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       fault_(cfg.fault),
       tags_(cfg.total_pages(), kNandFreeTag),
       next_page_(cfg.num_blocks, 0),

@@ -57,6 +57,9 @@ struct NandStats {
 
 class NandArray {
  public:
+  /// Throws std::invalid_argument, before allocating, when the array has
+  /// 2^32 - 1 pages or more: FTL maps store page numbers in 32 bits with
+  /// kInvalidU32 as their unmapped sentinel.
   explicit NandArray(const NandConfig& cfg = {});
 
   [[nodiscard]] const NandConfig& config() const { return cfg_; }
@@ -106,24 +109,43 @@ class NandArray {
     return {t, f.status, f.retries};
   }
 
-  /// Host-path program with the fault model applied. On an injected
-  /// failure the page is consumed (poisoned with kNandBadTag, program
-  /// cursor advances — programming NAND is destructive even when it
-  /// fails) and kWriteFailed is returned; the FTL must remap.
-  IoResult program_page_checked(Ppn ppn, std::uint64_t tag) {
-    if (ppn >= tags_.size()) throw_ppn_range("program_page", ppn);
-    const Pbn blk = block_of(ppn);
-    const std::uint32_t pib = page_in_block(ppn);
-    if (tags_[ppn] != kNandFreeTag || pib != next_page_[blk]) {
-      throw_program_violation(ppn);
+  /// Outcome of a host-path run program.
+  struct ProgramRun {
+    std::uint32_t consumed = 0;  // pages programmed, the failed one included
+    bool failed = false;         // the last consumed page failed
+  };
+
+  /// Host-path program of `n` consecutive pages from `first`, which must
+  /// be its block's program cursor, with `tags[i]` into page first + i;
+  /// the run may not cross the block's end. The cursor is checked once
+  /// per run, the erased state per page. The fault model is drawn per
+  /// page in page order; on an injected failure the page is consumed
+  /// (poisoned with kNandBadTag, cursor advanced — programming NAND is
+  /// destructive even when it fails) and the run stops there, so the
+  /// FTL can remap it.
+  ProgramRun program_run_checked(Ppn first, const std::uint64_t* tags,
+                                 std::uint32_t n) {
+    if (first >= tags_.size()) throw_ppn_range("program_run_checked", first);
+    const Pbn blk = block_of(first);
+    const std::uint32_t pib = page_in_block(first);
+    if (pib + n > cfg_.pages_per_block) {
+      throw_ppn_range("program_run_checked", first + n - 1);
     }
-    const bool fail = fault_.on_program();
-    tags_[ppn] = fail ? kNandBadTag : tag;
-    next_page_[blk] = pib + 1;
-    ++stats_.page_programs;
-    stats_.busy += cfg_.page_program;
-    return {cfg_.page_program,
-            fail ? IoStatus::kWriteFailed : IoStatus::kOk, 0};
+    if (pib != next_page_[blk]) throw_program_violation(first);
+    ProgramRun run;
+    Micros busy = stats_.busy;  // same per-page sum, kept in a register
+    while (run.consumed < n && !run.failed) {
+      const Ppn ppn = first + run.consumed;
+      if (tags_[ppn] != kNandFreeTag) throw_program_violation(ppn);
+      run.failed = fault_.on_program();
+      tags_[ppn] = run.failed ? kNandBadTag : tags[run.consumed];
+      ++run.consumed;
+      busy += cfg_.page_program;
+    }
+    stats_.busy = busy;
+    stats_.page_programs += run.consumed;
+    next_page_[blk] = pib + run.consumed;
+    return run;
   }
 
   /// Erase a whole block; increments its wear counter.
@@ -134,11 +156,13 @@ class NandArray {
   [[nodiscard]] std::uint32_t max_erase_count() const;
   [[nodiscard]] double mean_erase_count() const;
 
+  /// 32-bit arithmetic: the constructor keeps every page number below
+  /// 2^32 - 1. Callers range-check `ppn` first.
   Pbn block_of(Ppn ppn) const {
-    return static_cast<Pbn>(ppn / cfg_.pages_per_block);
+    return static_cast<std::uint32_t>(ppn) / cfg_.pages_per_block;
   }
   std::uint32_t page_in_block(Ppn ppn) const {
-    return static_cast<std::uint32_t>(ppn % cfg_.pages_per_block);
+    return static_cast<std::uint32_t>(ppn) % cfg_.pages_per_block;
   }
 
  private:

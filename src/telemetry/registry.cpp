@@ -51,6 +51,17 @@ void MetricsRegistry::gauge(const std::string& name,
   add_entry(std::move(e));
 }
 
+void MetricsRegistry::ratio(const std::string& name,
+                            std::vector<std::string> numerator,
+                            std::vector<std::string> denominator) {
+  Entry e;
+  e.name = name;
+  e.kind = MetricKind::kGauge;
+  e.quotient = std::make_shared<const Quotient>(
+      Quotient{std::move(numerator), std::move(denominator)});
+  add_entry(std::move(e));
+}
+
 void MetricsRegistry::gauge_value(const std::string& name, double v) {
   gauge(name, [v] { return v; });
 }
@@ -78,12 +89,13 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
     MetricSnapshot m;
     m.name = e.name;
     m.kind = e.kind;
+    m.quotient = e.quotient;
     switch (e.kind) {
       case MetricKind::kCounter:
         m.counter = e.counter_src ? *e.counter_src : e.counter_fn();
         break;
       case MetricKind::kGauge:
-        m.gauge.add(e.gauge_fn());
+        if (!e.quotient) m.gauge.add(e.gauge_fn());
         break;
       case MetricKind::kHistogram:
         m.hist = *e.hist_src;
@@ -95,6 +107,7 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
             [](const MetricSnapshot& a, const MetricSnapshot& b) {
               return a.name < b.name;
             });
+  snap.derive_ratios();
   return snap;
 }
 
@@ -118,6 +131,11 @@ void RegistrySnapshot::merge(const RegistrySnapshot& other) {
     if (m.kind != o.kind) {
       throw std::invalid_argument("metric kind mismatch on merge: " + m.name);
     }
+    if (m.quotient ? !o.quotient || *m.quotient != *o.quotient
+                   : o.quotient != nullptr) {
+      throw std::invalid_argument("ratio definition mismatch on merge: " +
+                                  m.name);
+    }
     switch (m.kind) {
       case MetricKind::kCounter:
         m.counter += o.counter;
@@ -132,6 +150,31 @@ void RegistrySnapshot::merge(const RegistrySnapshot& other) {
     merged.push_back(std::move(m));
   }
   metrics_ = std::move(merged);
+  derive_ratios();
+}
+
+void RegistrySnapshot::derive_ratios() {
+  const auto sum = [this](const MetricSnapshot& ratio,
+                          const std::vector<std::string>& names) {
+    std::uint64_t total = 0;
+    for (const std::string& name : names) {
+      const MetricSnapshot* m = find(name);
+      if (m == nullptr || m->kind != MetricKind::kCounter) {
+        throw std::logic_error(ratio.name + " names " + name +
+                               ", which is not a counter");
+      }
+      total += m->counter;
+    }
+    return total;
+  };
+  for (MetricSnapshot& m : metrics_) {
+    if (!m.quotient) continue;
+    const std::uint64_t num = sum(m, m.quotient->numerator);
+    const std::uint64_t den = sum(m, m.quotient->denominator);
+    m.gauge = StreamingStats{};
+    m.gauge.add(den ? static_cast<double>(num) / static_cast<double>(den)
+                    : 0.0);
+  }
 }
 
 const MetricSnapshot* RegistrySnapshot::find(const std::string& name) const {

@@ -8,13 +8,15 @@
 // and readers take a `snapshot()` on demand. Registration therefore
 // costs nothing per query; the only cost is at snapshot time.
 //
-// Snapshots from multiple shards merge: counters add, gauges fold into
-// a StreamingStats over per-shard samples, histograms merge bucket-wise
+// Snapshots from multiple shards merge: counters add, ratio gauges are
+// derived again from the summed counters, other gauges fold into a
+// StreamingStats over per-shard samples, histograms merge bucket-wise
 // (congruent geometry required).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,25 +28,38 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 const char* to_string(MetricKind kind);
 
-/// A point-in-time reading of one metric. For gauges the StreamingStats
-/// holds one sample per source registry (so cross-shard merges expose
-/// min/mean/max over shards); for histograms the full bucket state is
-/// copied.
+/// A ratio gauge's definition: the sum of the `numerator` counters over
+/// the sum of the `denominator` counters, 0 when the latter is 0.
+struct Quotient {
+  std::vector<std::string> numerator;
+  std::vector<std::string> denominator;
+
+  bool operator==(const Quotient&) const = default;
+};
+
+/// A point-in-time reading of one metric. For gauges other than ratios
+/// the StreamingStats holds one sample per source registry (so
+/// cross-shard merges expose min/mean/max over shards); for histograms
+/// the full bucket state is copied.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t counter = 0;
   StreamingStats gauge;
   LatencyHistogram hist;
+  /// Set on ratio gauges: the gauge is this quotient of the snapshot's
+  /// counters, one sample, derived again after every merge.
+  std::shared_ptr<const Quotient> quotient;
 };
 
 /// An ordered (by name) set of metric readings, mergeable across shards.
 class RegistrySnapshot {
  public:
   /// Fold `other` into this snapshot: counters sum, gauges accumulate
-  /// samples, histograms merge bucket-wise. Metrics present only in one
-  /// side are kept as-is. Throws std::invalid_argument if the same name
-  /// has different kinds or incompatible histogram geometry.
+  /// samples, histograms merge bucket-wise, and ratio gauges are derived
+  /// from the summed counters. Metrics present only in one side are kept
+  /// as-is. Throws std::invalid_argument if the same name has different
+  /// kinds, ratio definitions or histogram geometry.
   void merge(const RegistrySnapshot& other);
 
   const MetricSnapshot* find(const std::string& name) const;
@@ -53,6 +68,10 @@ class RegistrySnapshot {
 
  private:
   friend class MetricsRegistry;
+  /// Set every ratio gauge from the counters its quotient names. Throws
+  /// std::logic_error if one of them is absent or not a counter.
+  void derive_ratios();
+
   std::vector<MetricSnapshot> metrics_;  // sorted by name
 };
 
@@ -69,6 +88,13 @@ class MetricsRegistry {
 
   /// Gauge computed at snapshot time (ratios, wear averages, ...).
   void gauge(const std::string& name, std::function<double()> fn);
+
+  /// Ratio gauge: sum(numerator) / sum(denominator) over counters of
+  /// this registry, 0 when the denominator sums to 0. A merged snapshot
+  /// derives it from the summed counters, so a fleet's ratio pools its
+  /// members' counts rather than averaging their ratios.
+  void ratio(const std::string& name, std::vector<std::string> numerator,
+             std::vector<std::string> denominator);
 
   /// Gauge with a fixed value known at registration time (e.g. a
   /// one-off build duration).
@@ -94,6 +120,7 @@ class MetricsRegistry {
     std::function<std::uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
     const LatencyHistogram* hist_src = nullptr;
+    std::shared_ptr<const Quotient> quotient;
   };
 
   void add_entry(Entry e);

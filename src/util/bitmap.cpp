@@ -1,7 +1,6 @@
 #include "src/util/bitmap.hpp"
 
 #include <bit>
-#include <cassert>
 
 namespace ssdse {
 
@@ -25,35 +24,6 @@ void Bitmap::resize(std::size_t n, bool value) {
   }
 }
 
-bool Bitmap::test(std::size_t i) const {
-  assert(i < size_);
-  return (words_[i >> 6] >> (i & 63)) & 1ull;
-}
-
-void Bitmap::set(std::size_t i) {
-  assert(i < size_);
-  std::uint64_t& w = words_[i >> 6];
-  const std::uint64_t mask = 1ull << (i & 63);
-  if (!(w & mask)) {
-    w |= mask;
-    ++ones_;
-  }
-}
-
-void Bitmap::clear(std::size_t i) {
-  assert(i < size_);
-  std::uint64_t& w = words_[i >> 6];
-  const std::uint64_t mask = 1ull << (i & 63);
-  if (w & mask) {
-    w &= ~mask;
-    --ones_;
-  }
-}
-
-void Bitmap::assign(std::size_t i, bool value) {
-  value ? set(i) : clear(i);
-}
-
 std::size_t Bitmap::first_clear() const {
   for (std::size_t w = 0; w < words_.size(); ++w) {
     std::uint64_t inv = ~words_[w];
@@ -67,6 +37,18 @@ std::size_t Bitmap::first_clear() const {
     }
   }
   return size_;
+}
+
+std::size_t Bitmap::next_set(std::size_t i) const {
+  if (i >= size_) return size_;
+  std::size_t w = i >> 6;
+  // Spare bits of the last word stay clear, so no tail mask is needed.
+  std::uint64_t bits = words_[w] & (~0ull << (i & 63));
+  while (bits == 0) {
+    if (++w == words_.size()) return size_;
+    bits = words_[w];
+  }
+  return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void Bitmap::fill(bool value) {

@@ -1,3 +1,4 @@
+#include <bit>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -170,60 +171,153 @@ TEST(PageFtlTest, MeanAccessPositiveAfterTraffic) {
   EXPECT_GT(ftl.stats().mean_access().value(), 0.0);
 }
 
-TEST(PageFtlTest, WearBucketsZeroBeforeFirstCompaction) {
-  NandArray nand(small_nand());
-  PageFtl ftl(nand);
-  EXPECT_EQ(ftl.heap_compactions(), 0u);
-  for (const std::uint64_t c : ftl.wear_buckets()) EXPECT_EQ(c, 0u);
+// --- Run path vs page-by-page twin --------------------------------------
+//
+// write_run/read_run serve a run in chunks (one NAND run-program per
+// active-block span); write()/read() are one-page runs. Driving one FTL
+// with random-length runs and a twin with the same pages one at a time
+// must give bit-identical stats, latencies and read-backs.
+
+std::uint64_t bits(Micros m) { return std::bit_cast<std::uint64_t>(m.value()); }
+
+void expect_same(const IoResult& a, const IoResult& b) {
+  EXPECT_EQ(bits(a.latency), bits(b.latency));
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.retries, b.retries);
 }
 
-TEST(PageFtlTest, WearBucketsTrackCompactionScan) {
-  // Random overwrites grow the lazy-deletion heap past its compaction
-  // limit; the rebuild scan bins every Used block's erase count.
-  NandArray nand(small_nand(32, 8));
-  PageFtl ftl(nand);
-  Rng rng(21);
-  const Lpn n = ftl.logical_pages();
-  for (int i = 0; i < 20'000; ++i) {
-    ASSERT_TRUE(ftl.write(rng.next_below(n)).ok());
-  }
-  ASSERT_GT(ftl.heap_compactions(), 0u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : ftl.wear_buckets()) total += c;
-  // Snapshot of the last compaction: one bin entry per Used block.
-  EXPECT_GT(total, 0u);
-  EXPECT_LE(total, nand.config().num_blocks);
-  // Binning is log2(erases + 1); no block can have erased more often
-  // than the total erase count, so buckets past that log are empty.
-  std::uint64_t max_bucket = 0;
-  for (std::uint64_t w = nand.stats().block_erases + 1; w > 1; w >>= 1) {
-    ++max_bucket;
-  }
-  const auto& buckets = ftl.wear_buckets();
-  for (std::size_t i = max_bucket + 1; i < PageFtl::kWearBuckets; ++i) {
-    EXPECT_EQ(buckets[i], 0u) << "bucket " << i;
+void expect_same_stats(const PageFtl& a, const PageFtl& b) {
+  const FtlStats& x = a.stats();
+  const FtlStats& y = b.stats();
+  EXPECT_EQ(x.host_reads, y.host_reads);
+  EXPECT_EQ(x.host_writes, y.host_writes);
+  EXPECT_EQ(x.host_trims, y.host_trims);
+  EXPECT_EQ(x.gc_invocations, y.gc_invocations);
+  EXPECT_EQ(x.gc_page_copies, y.gc_page_copies);
+  EXPECT_EQ(bits(x.host_busy), bits(y.host_busy));
+  EXPECT_EQ(bits(x.gc_busy), bits(y.gc_busy));
+  EXPECT_EQ(x.read_retries, y.read_retries);
+  EXPECT_EQ(x.uncorrectable_reads, y.uncorrectable_reads);
+  EXPECT_EQ(x.program_failures, y.program_failures);
+  EXPECT_EQ(x.remapped_writes, y.remapped_writes);
+  EXPECT_EQ(x.grown_bad_blocks, y.grown_bad_blocks);
+  const NandStats& m = a.nand().stats();
+  const NandStats& n = b.nand().stats();
+  EXPECT_EQ(m.page_reads, n.page_reads);
+  EXPECT_EQ(m.page_programs, n.page_programs);
+  EXPECT_EQ(m.block_erases, n.block_erases);
+  EXPECT_EQ(bits(m.busy), bits(n.busy));
+  for (Pbn blk = 0; blk < a.nand().config().num_blocks; ++blk) {
+    EXPECT_EQ(a.nand().erase_count(blk), b.nand().erase_count(blk));
   }
 }
 
-TEST(PageFtlTest, WearBucketsDeterministicAcrossRuns) {
-  std::array<std::uint64_t, PageFtl::kWearBuckets> first{};
-  std::uint64_t first_compactions = 0;
-  for (int run = 0; run < 2; ++run) {
-    NandArray nand(small_nand(32, 8));
-    PageFtl ftl(nand);
-    Rng rng(22);
-    const Lpn n = ftl.logical_pages();
-    for (int i = 0; i < 20'000; ++i) {
-      ASSERT_TRUE(ftl.write(rng.next_below(n)).ok());
-    }
-    if (run == 0) {
-      first = ftl.wear_buckets();
-      first_compactions = ftl.heap_compactions();
-    } else {
-      EXPECT_EQ(ftl.wear_buckets(), first);
-      EXPECT_EQ(ftl.heap_compactions(), first_compactions);
-    }
+/// FNV-1a over every block's erase count, then the GC copy count and
+/// the busy-time bits: a different victim order changes which blocks
+/// wear, a different summation order the busy bits.
+std::uint64_t fingerprint(const PageFtl& ftl) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (Pbn blk = 0; blk < ftl.nand().config().num_blocks; ++blk) {
+    mix(ftl.nand().erase_count(blk));
   }
+  mix(ftl.stats().gc_page_copies);
+  mix(bits(ftl.stats().host_busy));
+  mix(bits(ftl.stats().gc_busy));
+  mix(bits(ftl.nand().stats().busy));
+  return h;
+}
+
+struct TwinShape {
+  bool wear_leveling = false;
+  double program_fail_rate = 0;
+  double read_fault_rate = 0;
+  double over_provisioning = 0.07;
+};
+
+/// Random-length runs (1..40 pages over 16-page blocks) on the hottest
+/// 93 % of the logical space, 4 in 5 of them writes. Returns the run
+/// FTL's fingerprint.
+std::uint64_t run_twins(const TwinShape& shape, std::uint64_t seed) {
+  NandConfig cfg = small_nand(64, 16);
+  cfg.fault.program_fail_rate = shape.program_fail_rate;
+  cfg.fault.read_transient_rate = shape.read_fault_rate;
+  cfg.fault.read_unc_rate = shape.read_fault_rate / 10;
+  NandArray nand_run(cfg);
+  NandArray nand_page(cfg);
+  FtlConfig fcfg;
+  fcfg.wear_leveling = shape.wear_leveling;
+  fcfg.over_provisioning = shape.over_provisioning;
+  PageFtl run(nand_run, fcfg);
+  PageFtl page(nand_page, fcfg);
+  Rng rng(seed);
+  const Lpn hot = run.logical_pages() * 93 / 100;
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t len = 1 + rng.next_below(40);
+    const Lpn first = rng.next_below(hot - len + 1);
+    const bool write = rng.next_below(5) != 0;
+    IoResult one_by_one;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      one_by_one += write ? page.write(first + i) : page.read(first + i);
+    }
+    expect_same(write ? run.write_run(first, len) : run.read_run(first, len),
+                one_by_one);
+  }
+  for (Lpn p = 0; p < run.logical_pages(); ++p) {
+    expect_same(run.read(p), page.read(p));
+  }
+  expect_same_stats(run, page);
+  EXPECT_GT(run.stats().gc_page_copies, 0u);
+  if (shape.program_fail_rate > 0) {
+    EXPECT_GT(run.stats().remapped_writes, 0u);
+  }
+  return fingerprint(run);
+}
+
+// The pins were recorded with the lazy-deletion candidate heap the
+// bucket index replaced; equal fingerprints mean equal victim order.
+TEST(PageFtlRunTest, RunsMatchPagesWithoutWearLeveling) {
+  EXPECT_EQ(run_twins({}, 41), 17577971930515853853ull);
+}
+
+TEST(PageFtlRunTest, RunsMatchPagesWithWearLeveling) {
+  TwinShape shape;
+  shape.wear_leveling = true;
+  EXPECT_EQ(run_twins(shape, 42), 6096971453115173500ull);
+}
+
+TEST(PageFtlRunTest, RunsMatchPagesUnderFaults) {
+  TwinShape shape;
+  // ~13 program failures over ~64k host writes: the spares outlast them.
+  shape.program_fail_rate = 0.0002;
+  shape.read_fault_rate = 0.02;
+  shape.over_provisioning = 0.4;
+  EXPECT_EQ(run_twins(shape, 43), 11334970959317949141ull);
+}
+
+TEST(PageFtlRunTest, RunsMatchPagesThroughSparePoolExhaustion) {
+  // Every program fails: the first page retires blocks until the spare
+  // pool is gone, then burns the active block and fails; every later
+  // page fails at once.
+  NandConfig cfg = small_nand(32, 8);
+  cfg.fault.program_fail_rate = 1.0;
+  NandArray nand_run(cfg);
+  NandArray nand_page(cfg);
+  PageFtl run(nand_run);
+  PageFtl page(nand_page);
+  for (Lpn first = 0; first < 40; first += 10) {
+    IoResult one_by_one;
+    for (Lpn p = first; p < first + 10; ++p) one_by_one += page.write(p);
+    const IoResult whole = run.write_run(first, 10);
+    EXPECT_EQ(whole.status, IoStatus::kWriteFailed);
+    expect_same(whole, one_by_one);
+  }
+  expect_same_stats(run, page);
+  EXPECT_GT(run.stats().grown_bad_blocks, 0u);
+  for (Lpn p = 0; p < 40; ++p) expect_same(run.read(p), page.read(p));
 }
 
 }  // namespace

@@ -162,6 +162,18 @@ TEST(BitmapEdgeTest, ResizeAcrossWordBoundaries) {
   EXPECT_EQ(b.first_clear(), 0u);
 }
 
+TEST(BitmapEdgeTest, NextSetWalksSetBitsAcrossWords) {
+  Bitmap b(130);
+  for (const std::size_t i : {3u, 63u, 64u, 129u}) b.set(i);
+  std::vector<std::size_t> seen;
+  for (std::size_t i = b.next_set(0); i < b.size(); i = b.next_set(i + 1)) {
+    seen.push_back(i);
+  }
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 63, 64, 129}));
+  EXPECT_EQ(b.next_set(130), 130u);
+  EXPECT_EQ(Bitmap(70).next_set(0), 70u);
+}
+
 TEST(BitmapEdgeTest, ExactWordBoundary) {
   Bitmap b(64, true);
   EXPECT_TRUE(b.all());

@@ -166,6 +166,36 @@ TEST(NandTest, OutOfRangeThrows) {
   EXPECT_THROW((void)nand.erase_block(8), std::out_of_range);
 }
 
+TEST(NandTest, RejectsGeometryPast32BitPageNumbers) {
+  // The check runs before the per-page tag array is allocated, so these
+  // 32 GiB geometries cost nothing.
+  NandConfig cfg;
+  cfg.pages_per_block = 64;
+  cfg.num_blocks = 1u << 26;  // 2^32 pages
+  EXPECT_THROW(NandArray{cfg}, std::invalid_argument);
+  cfg.pages_per_block = 1;
+  cfg.num_blocks = kInvalidU32;  // exactly the unmapped sentinel
+  EXPECT_THROW(NandArray{cfg}, std::invalid_argument);
+}
+
+TEST(NandTest, ProgramRunStopsAtFirstFailure) {
+  NandConfig cfg = tiny_nand();
+  cfg.fault.program_fail_rate = 1.0;
+  NandArray nand(cfg);
+  const std::uint64_t tags[] = {7, 8, 9};
+  EXPECT_THROW((void)nand.program_run_checked(1, tags, 3), std::logic_error);
+  const auto run = nand.program_run_checked(0, tags, 3);
+  EXPECT_EQ(run.consumed, 1u);
+  EXPECT_TRUE(run.failed);
+  std::uint64_t tag = 0;
+  (void)nand.read_page(0, &tag);
+  EXPECT_EQ(tag, kNandBadTag);  // consumed, holds no data
+  EXPECT_TRUE(nand.is_erased(1));
+  EXPECT_EQ(nand.stats().page_programs, 1u);
+  // A run may not cross its block's end (4 pages per block).
+  EXPECT_THROW((void)nand.program_run_checked(2, tags, 3), std::out_of_range);
+}
+
 TEST(NandTest, GeometryHelpers) {
   NandConfig cfg = tiny_nand();
   EXPECT_EQ(cfg.block_bytes(), 8 * KiB);

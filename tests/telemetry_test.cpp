@@ -183,6 +183,57 @@ TEST(SnapshotMergeTest, KindMismatchThrows) {
   EXPECT_THROW(a.merge(rb.snapshot()), std::invalid_argument);
 }
 
+TEST(SnapshotMergeTest, RatioPoolsSummedCounters) {
+  auto make = [](std::uint64_t hits, std::uint64_t probes) {
+    MetricsRegistry reg;
+    const std::uint64_t h = hits, p = probes;
+    reg.counter("hits", &h);
+    reg.counter("probes", &p);
+    reg.ratio("hit_ratio", {"hits"}, {"probes"});
+    return reg.snapshot();
+  };
+  RegistrySnapshot a = make(9, 10);
+  EXPECT_EQ(a.find("hit_ratio")->kind, MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(a.find("hit_ratio")->gauge.mean(), 0.9);
+  // An idle member counts by its probes (none), not as a 0 ratio.
+  a.merge(make(0, 0));
+  a.merge(make(3, 30));
+  const auto& g = a.find("hit_ratio")->gauge;
+  EXPECT_EQ(g.count(), 1u);
+  EXPECT_EQ(g.mean(), 12.0 / 40.0);
+  EXPECT_DOUBLE_EQ(make(0, 0).find("hit_ratio")->gauge.mean(), 0.0);
+}
+
+TEST(SnapshotMergeTest, RatioDefinitionMismatchThrows) {
+  std::uint64_t x = 1;
+  MetricsRegistry ra, rb;
+  for (MetricsRegistry* r : {&ra, &rb}) {
+    r->counter("a", &x);
+    r->counter("b", &x);
+  }
+  ra.ratio("r", {"a"}, {"b"});
+  rb.ratio("r", {"b"}, {"a"});
+  RegistrySnapshot a = ra.snapshot();
+  EXPECT_THROW(a.merge(rb.snapshot()), std::invalid_argument);
+  MetricsRegistry plain;
+  plain.gauge_value("r", 1.0);
+  RegistrySnapshot c = ra.snapshot();
+  EXPECT_THROW(c.merge(plain.snapshot()), std::invalid_argument);
+}
+
+TEST(RegistryTest, RatioOverMissingCounterThrows) {
+  std::uint64_t x = 1;
+  MetricsRegistry r;
+  r.counter("a", &x);
+  r.gauge_value("g", 2.0);
+  r.ratio("r", {"a"}, {"g"});
+  EXPECT_THROW((void)r.snapshot(), std::logic_error);
+  MetricsRegistry typo;
+  typo.counter("a", &x);
+  typo.ratio("r", {"a"}, {"missing"});
+  EXPECT_THROW((void)typo.snapshot(), std::logic_error);
+}
+
 TEST(SnapshotMergeTest, MergeWithSelfCopyDoublesCounters) {
   MetricsRegistry r;
   std::uint64_t x = 21;
@@ -339,6 +390,21 @@ TEST(SystemTelemetryTest, RegistryAgreesWithCacheStats) {
   EXPECT_EQ(snap.find("cache.list.probes")->counter, cs.list_lookups);
   EXPECT_EQ(snap.find("query.response.count")->counter,
             system.metrics().queries());
+  // Ratio gauges are declared as counter quotients; they read the same
+  // bits as the stats structs' own ratios.
+  EXPECT_EQ(snap.find("cache.result.hit_ratio")->gauge.mean(),
+            cs.result_hit_ratio());
+  EXPECT_EQ(snap.find("cache.list.hit_ratio")->gauge.mean(),
+            cs.list_hit_ratio());
+  EXPECT_EQ(snap.find("cache.hit_ratio")->gauge.mean(), cs.hit_ratio());
+  EXPECT_EQ(snap.find("query.coverage.ratio")->gauge.mean(),
+            system.metrics().request_coverage());
+  EXPECT_EQ(snap.find("query.cache_served_fraction")->gauge.mean(),
+            system.metrics().cache_served_fraction());
+  ASSERT_NE(system.cache_ssd(), nullptr);
+  EXPECT_EQ(snap.find("ssd.cache.write_amplification")->gauge.mean(),
+            system.cache_ssd()->ftl().stats().write_amplification(
+                system.cache_ssd()->nand().stats()));
   // Hits never exceed probes; the CI smoke asserts the same invariant on
   // the emitted report.
   EXPECT_LE(snap.find("cache.l1.result.hits")->counter +
@@ -423,14 +489,22 @@ TEST(ClusterTelemetryTest, SnapshotSumsShardCounters) {
   cluster.run(600);
   const auto merged = cluster.telemetry_snapshot();
   std::uint64_t probes = 0;
+  std::uint64_t hits = 0;
   for (std::uint32_t s = 0; s < cluster.num_shards(); ++s) {
-    probes += cluster.shard(s).cache_manager().stats().result_lookups;
+    const CacheManagerStats& st = cluster.shard(s).cache_manager().stats();
+    probes += st.result_lookups;
+    hits += st.result_hits_mem + st.result_hits_ssd;
   }
   ASSERT_NE(merged.find("cache.result.probes"), nullptr);
   EXPECT_EQ(merged.find("cache.result.probes")->counter, probes);
-  // Gauges carry one sample per shard.
-  ASSERT_NE(merged.find("cache.result.hit_ratio"), nullptr);
-  EXPECT_EQ(merged.find("cache.result.hit_ratio")->gauge.count(), 3u);
+  // Ratio gauges are pooled from the summed counters: one sample.
+  const auto* ratio = merged.find("cache.result.hit_ratio");
+  ASSERT_NE(ratio, nullptr);
+  EXPECT_EQ(ratio->gauge.count(), 1u);
+  ASSERT_GT(probes, 0u);
+  EXPECT_EQ(ratio->gauge.mean(),
+            static_cast<double>(hits) / static_cast<double>(probes));
+  // Other gauges carry one sample per shard.
   ASSERT_NE(merged.find("query.throughput_qps"), nullptr);
   EXPECT_EQ(merged.find("query.throughput_qps")->gauge.count(), 3u);
   for (std::size_t i = 1; i <= kNumSituations; ++i) {
