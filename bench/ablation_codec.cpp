@@ -9,39 +9,19 @@
 
 #include "bench/bench_common.hpp"
 #include "src/engine/daat.hpp"
-#include "src/util/rng.hpp"
-#include "src/workload/query_log.hpp"
 
 using namespace ssdse;
 using namespace ssdse::bench;
 
 namespace {
 
-/// Exhaustive-vs-pruned cells on a materialized corpus built with
-/// `codec`. Returns rows for both pruning settings.
+/// Exhaustive-vs-pruned cells on the daat workload built with `codec`:
+/// adds a row per pruning setting to `t`.
 void pruning_cells(const std::string& codec, std::uint64_t queries,
                    Table& t) {
-  CorpusConfig cc;
-  cc.num_docs = 40'000;
-  cc.vocab_size = 2'000;
-  cc.terms_per_doc = 60;
-  cc.max_df_fraction = 0.10;
-  cc.seed = 2012;
-  cc.codec = codec;
-  Rng rng(99);
-  MaterializedCorpus corpus(cc, rng);
-  MaterializedIndex index(corpus);
-
-  QueryLogConfig qc;
-  qc.distinct_queries = 50'000;
-  qc.vocab_size = cc.vocab_size;
-  qc.min_terms = 2;
-  qc.max_terms = 3;
-  qc.seed = 17;
-  QueryLogGenerator gen(qc);
-  std::vector<Query> batch;
-  batch.reserve(queries);
-  for (std::uint64_t i = 0; i < queries; ++i) batch.push_back(gen.next());
+  const DaatWorkload w(queries, codec);
+  const MaterializedIndex& index = *w.index;
+  const std::vector<Query>& batch = w.batch;
 
   // ssdse-lint: allow(nondeterminism) wall-clock measures real throughput only
   using Clock = std::chrono::steady_clock;
@@ -114,7 +94,7 @@ int main() {
       "ratios and cut index-store traffic at identical cache budgets.\n",
       100.0 * 5.0 / 8.0);
 
-  // Block-max pruning on/off, per block codec, on the perf_driver daat
+  // Block-max pruning on/off, per block codec, on the layer_bench daat
   // corpus. The "top-K" column is the safety verdict: pruning must be
   // a pure speedup, never a result change.
   std::printf("\n");

@@ -3,24 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace ssdse {
-
-DaatMode daat_mode(const std::string& name) {
-  if (name == "exhaustive") return DaatMode::kExhaustive;
-  if (name == "block-max") return DaatMode::kBlockMax;
-  throw std::invalid_argument("unknown daat mode: " + name);
-}
 
 // --- DaatProcessor --------------------------------------------------------
 //
 // Bit-exactness contract between kBlockMax and kExhaustive (the oracle),
-// relied on by the equivalence suites and the BENCH_PR7 gate. The two
-// modes share every line below except the bound check, so term order
-// (size-ascending std::sort), score expressions (std::log(1.0 + tf) *
-// idf, summed driver-first) and idf doubles agree by construction. What
-// the check itself must guarantee:
+// relied on by the equivalence suites and layer_bench's block-max gate.
+// The two modes share every line below except the bound check, so term
+// order (size-ascending std::sort), score expressions (std::log(1.0 +
+// tf) * idf, summed driver-first) and idf doubles agree by
+// construction. What the check itself must guarantee:
 //  * Pruning soundness: a range is leapt only when the heap holds k
 //    docs AND the bound — per-term block max weight x idf, accumulated
 //    in the same order as a real score — rounds to a float STRICTLY

@@ -9,7 +9,7 @@
 // whose per-block max weights bound scores. DaatMode picks whether it
 // prunes:
 //  * kExhaustive — evaluates every candidate; the bit-exact oracle whose
-//    DaatStats feed the pinned perf_driver fingerprint;
+//    DaatStats feed the pinned layer_bench daat fingerprint;
 //  * kBlockMax   — block-max WAND/MaxScore hybrid: leaps candidate
 //    ranges whose summed per-block score upper bound cannot enter the
 //    full top-K heap. Returns bit-identical top-K to kExhaustive by
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/engine/query.hpp"
@@ -29,14 +28,11 @@
 
 namespace ssdse {
 
-/// Whether DaatProcessor prunes ("exhaustive" | "block-max"). The
-/// exhaustive mode stays the default everywhere a fingerprint is
-/// pinned: its DaatStats feed those fingerprints, and pruning
-/// legitimately changes the stats (never the top-K).
+/// Whether DaatProcessor prunes. The exhaustive mode stays the default
+/// everywhere a fingerprint is pinned: its DaatStats feed those
+/// fingerprints, and pruning legitimately changes the stats (never the
+/// top-K).
 enum class DaatMode : std::uint8_t { kExhaustive, kBlockMax };
-
-/// Parse a mode name; throws std::invalid_argument on unknown names.
-DaatMode daat_mode(const std::string& name);
 
 struct DaatStats {
   std::uint64_t docs_scored = 0;     // documents containing all terms

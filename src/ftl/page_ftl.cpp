@@ -145,15 +145,7 @@ Micros PageFtl::relocate_valid_pages(Pbn b) {
   return cost;
 }
 
-Micros PageFtl::gc_once() {
-  const auto ppb = nand_.config().pages_per_block;
-  std::uint32_t v = 0;
-  while (v <= ppb && by_valid_[v].none()) ++v;
-  if (v > ppb) throw std::logic_error("PageFtl: GC with no candidate blocks");
-  if (v == ppb) {
-    throw std::logic_error(
-        "PageFtl: no reclaimable block (logical space overcommitted)");
-  }
+Micros PageFtl::gc_once(std::uint32_t v) {
   Bitmap& bucket = by_valid_[v];
   auto victim = static_cast<Pbn>(bucket.next_set(0));
   if (cfg_.wear_leveling) {
@@ -176,9 +168,21 @@ Micros PageFtl::gc_once() {
 }
 
 Micros PageFtl::collect_garbage() {
+  const auto ppb = nand_.config().pages_per_block;
   Micros cost = micros(0);
   while (free_blocks_.size() < cfg_.gc_low_watermark) {
-    cost += gc_once();
+    std::uint32_t v = 0;
+    while (v < ppb && by_valid_[v].none()) ++v;
+    // A victim is reclaimable when it holds an invalid page and its
+    // valid pages can be relocated.
+    if (v == ppb || !relocation_fits(v, /*held=*/0)) {
+      if (stats_.grown_bad_blocks == 0) {
+        throw std::logic_error(
+            "PageFtl: no reclaimable block (logical space overcommitted)");
+      }
+      break;  // grown bad blocks ate the headroom: stay below the watermark
+    }
+    cost += gc_once(v);
   }
   return cost;
 }
@@ -206,12 +210,19 @@ IoResult PageFtl::read_run(Lpn first, std::uint64_t count) {
   return run;
 }
 
+bool PageFtl::relocation_fits(std::uint32_t pages, std::size_t held) const {
+  // The pages fill the GC stream's open block, then at most one fresh
+  // block: a relocated block holds fewer valid pages than a block has.
+  const auto room = nand_.config().pages_per_block - cursor_[1];
+  return free_blocks_.size() >= held + (pages > room ? 1 : 0);
+}
+
 Micros PageFtl::retire_active_block(int s) {
   const Pbn b = active_[s];
   // Install the replacement first so relocation programs land in a
   // different block than the one being retired. The caller (write_run)
-  // checks spare availability before retiring, so the pool cannot be
-  // empty here.
+  // retires only when relocation_fits() holds with the replacement held
+  // back, so neither this pop nor relocation can find the pool empty.
   assert(!free_blocks_.empty());
   active_[s] = pop_free_block();
   state_[active_[s]] = BState::kActive;
@@ -319,9 +330,12 @@ IoResult PageFtl::write_run(Lpn first, std::uint64_t count) {
     if (retry) {
       // Grown bad block: the program consumed the page but stored
       // nothing. Retire the whole active block and retry in a fresh one
-      // — the failure never surfaces to the host while spares remain.
+      // — the failure never surfaces to the host while the pool can take
+      // both the replacement and the block's live pages. Otherwise the
+      // page retries in this block, which is later sealed and collected
+      // like any other (program_failures then exceeds remapped_writes).
       ++stats_.program_failures;
-      if (!free_blocks_.empty()) {
+      if (relocation_fits(valid_[active_[0]], /*held=*/1)) {
         io += retire_active_block(/*s=*/0);  // program faults hit the host stream
         ++stats_.remapped_writes;
       }

@@ -36,15 +36,26 @@ class PageFtl final : public Ftl {
 
   enum class BState : std::uint8_t { kFree, kActive, kUsed, kBad };
 
-  /// Run GC until the free pool is back above the watermark. Returns the
+  /// Run GC until the free pool is back above the watermark, or until
+  /// grown bad blocks leave no reclaimable victim. Returns the
   /// accumulated latency (charged to the triggering host write).
   [[nodiscard]] Micros collect_garbage();
-  [[nodiscard]] Micros gc_once();
+  /// Reclaim one block from the bucket of Used blocks with `v` valid
+  /// pages.
+  [[nodiscard]] Micros gc_once(std::uint32_t v);
   /// Grown-bad-block handling: retire stream `s`'s active block after a
   /// program failure — install a fresh active block, relocate the dying
   /// block's valid pages onto the GC stream, erase it once, and mark it
   /// kBad (never returned to the free pool). Returns the latency.
   [[nodiscard]] Micros retire_active_block(int s);
+  /// Whether the free pool, less `held` blocks, can take `pages` valid
+  /// pages of one block onto the GC stream. GC picks only victims that
+  /// fit (held 0); a failed host block is retired only when its pages
+  /// fit with the replacement block held (1). When it is not, the block
+  /// stays active and the failed page retries in it; once it fills with
+  /// no free block left the write returns kWriteFailed.
+  [[nodiscard]] bool relocation_fits(std::uint32_t pages,
+                                     std::size_t held) const;
   /// Copy block `b`'s valid pages onto the GC stream, stopping once its
   /// valid count reaches 0. Returns the NAND latency. Throws
   /// std::logic_error if the count outlasts the block's pages.

@@ -280,8 +280,9 @@ TEST(BlockCodecTest, AdversarialBitWidths) {
 
 TEST(BlockCodecTest, DocSortedListsCompressSeveralFold) {
   // The design target: doc-sorted lists (small gaps, small tf's) must
-  // compress well below raw's 8 B/posting — the BENCH_PR7 gate demands
-  // >= 2.5x on the fixed corpus; typical lists do much better.
+  // compress well below raw's 8 B/posting — layer_bench's compression
+  // gate demands >= 2.5x on the fixed corpus; typical lists do much
+  // better.
   const auto list = doc_sorted_list(20'000, 11);
   BlockPackedCodec packed;
   StreamVByteCodec svb;

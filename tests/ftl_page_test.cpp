@@ -320,5 +320,35 @@ TEST(PageFtlRunTest, RunsMatchPagesThroughSparePoolExhaustion) {
   for (Lpn p = 0; p < 40; ++p) expect_same(run.read(p), page.read(p));
 }
 
+TEST(PageFtlRunTest, RetirementThatCannotRelocateFailsTheWrite) {
+  // One program in five fails, so grown bad blocks eat the spare pool
+  // while a small hot set keeps live pages in every retiring block.
+  // Retiring a block whose live pages the pool cannot take threw from
+  // GC-stream allocation; the writes must fail cleanly instead, and
+  // every page that was stored must still read back tag-checked.
+  NandConfig cfg = small_nand(32, 8);
+  cfg.fault.program_fail_rate = 0.2;
+  NandArray nand(cfg);
+  PageFtl ftl(nand);
+  Rng rng(7);
+  constexpr Lpn kHot = 24;
+  bool failed = false;
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t len = 1 + rng.next_below(12);
+    const Lpn first = rng.next_below(kHot - len + 1);
+    IoResult io;
+    ASSERT_NO_THROW(io = ftl.write_run(first, len)) << "run " << op;
+    failed |= io.status == IoStatus::kWriteFailed;
+  }
+  EXPECT_TRUE(failed);
+  // A failure the pool cannot take retries in place: no remap, no
+  // grown bad block, and the block returns to circulation.
+  const auto& st = ftl.stats();
+  EXPECT_GT(st.grown_bad_blocks, 20u);
+  EXPECT_EQ(st.remapped_writes, st.grown_bad_blocks);
+  EXPECT_GT(st.program_failures, st.remapped_writes);
+  for (Lpn p = 0; p < kHot; ++p) EXPECT_NO_THROW((void)ftl.read(p));
+}
+
 }  // namespace
 }  // namespace ssdse

@@ -2,8 +2,7 @@
 // recency order plus an unordered_map of list iterators). It is
 // obviously correct — recency is the list order and nothing else — so
 // FlatLruMap's eviction order is checked against it op for op
-// (mem_cache_test's shadow tests, and the lru_map eviction-order gate of
-// bench/pr7_codec_pruning).
+// (mem_cache_test's shadow tests).
 #pragma once
 
 #include <cstddef>
